@@ -18,7 +18,7 @@ use fbd_tsdb::{MetricKind, SeriesId, TimeSeries, WindowConfig, WindowedData};
 use fbdetect_core::change_point::ChangePointDetector;
 use fbdetect_core::config::{DetectorConfig, Threshold};
 use fbdetect_core::types::{Regression, RegressionKind};
-use fbdetect_core::went_away::WentAwayDetector;
+use fbdetect_core::went_away::{DecidedBy, WentAwayDetector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -89,6 +89,28 @@ fn bench_stages(c: &mut Criterion) {
     c.bench_function("went_away_evaluate_900", |b| {
         b.iter(|| went_away.evaluate(&regression).unwrap())
     });
+    // The three ways a candidate leaves the lazy predicate, at the 600/200/100
+    // window split with the change 50 samples into the analysis window: a
+    // transient exits at the gone-away tail check, a persistent step and a
+    // still-rising one go all the way to the trend term (the latter through
+    // Theil-Sen on both windows).
+    for (name, shape, decided_by) in [
+        ("transient", (|i| if i < 100 { 0.2 } else { 0.0 }) as fn(usize) -> f64, DecidedBy::GoneAway),
+        ("persistent", |_| 0.08, DecidedBy::Lasting),
+        ("rising", |i| 0.04 + 0.06 * i as f64 / 250.0, DecidedBy::Lasting),
+    ] {
+        let mut values = SeriesSpec::flat(900, 1.0, 0.05).generate(7).unwrap();
+        for (i, v) in values[650..].iter_mut().enumerate() {
+            *v += shape(i);
+        }
+        let mut candidate = regression_of(&values);
+        candidate.change_index = 649;
+        candidate.mean_after = 1.0 + shape(0);
+        assert_eq!(went_away.evaluate(&candidate).unwrap().decided_by, decided_by, "{name}");
+        c.bench_function(&format!("went_away/{name}"), |b| {
+            b.iter(|| went_away.evaluate(&candidate).unwrap())
+        });
+    }
     c.bench_function("sax_encode_900", |b| {
         b.iter(|| encode(&values, SaxConfig::default()).unwrap())
     });

@@ -52,6 +52,7 @@ pub use profile::{StageNanos, StageProfile};
 pub use quarantine::{FaultKind, Quarantine, QuarantineConfig};
 pub use scan_state::{EngineStats, OnlinePolicy, StreamingEngine};
 pub use types::{FunnelCounters, Regression, RegressionKind, ScanHealth};
+pub use went_away::{DecidedBy, WentAwayStats, WentAwayVerdict};
 
 /// Convenience alias used by fallible routines in this crate.
 pub type Result<T> = std::result::Result<T, DetectError>;

@@ -31,7 +31,7 @@ use crate::scan_cache::{self, CacheStats, ScanCache};
 use crate::scan_state::{CachedScan, EngineStats, OnlinePolicy, Prepared, StreamingEngine};
 use crate::seasonality::SeasonalityDetector;
 use crate::types::{FunnelCounters, Regression, ScanHealth};
-use crate::went_away::WentAwayDetector;
+use crate::went_away::{WentAwayDetector, WentAwayStats};
 use crate::{DetectError, Result};
 use fbd_changelog::ChangeLog;
 use fbd_cluster::pairwise::Group;
@@ -174,6 +174,9 @@ pub struct Pipeline {
     /// out of [`ScanHealth`]/[`FunnelCounters`] so warm-vs-cold scan
     /// fingerprints stay byte-identical).
     stage_profile: StageProfile,
+    /// Which went-away term decided each candidate, cumulative (telemetry
+    /// only, like `stage_profile`).
+    went_away_stats: WentAwayStats,
     /// Number of detection worker threads.
     pub threads: usize,
 }
@@ -202,6 +205,7 @@ impl Pipeline {
                 StreamingEngine::new(config.windows).with_online_policy(Self::online_policy(&config)),
             ),
             stage_profile: StageProfile::default(),
+            went_away_stats: WentAwayStats::default(),
             threads: 4,
             config,
         })
@@ -287,6 +291,13 @@ impl Pipeline {
     /// Zeroes the per-stage wall-time totals.
     pub fn reset_stage_profile(&self) {
         self.stage_profile.reset()
+    }
+
+    /// How many short-term candidates each term of the went-away predicate
+    /// decided (and how many verdicts were replayed), cumulative across
+    /// every scan so far.
+    pub fn went_away_stats(&self) -> WentAwayStats {
+        self.went_away_stats
     }
 
     /// Installs a fault-injection hook called for every series before
@@ -398,11 +409,15 @@ impl Pipeline {
         for r in short {
             let key = scan_cache::candidate_key(&r);
             let keep = match self.cache.went_away_keep(&r.series, key) {
-                Some(keep) => Ok(keep),
+                Some(keep) => {
+                    self.went_away_stats.replayed += 1;
+                    Ok(keep)
+                }
                 None => self
                     .went_away
                     .evaluate_with_cache(&r, Some(&self.cache))
                     .map(|v| {
+                        self.went_away_stats.record(v.decided_by);
                         self.cache.store_went_away_keep(&r.series, key, v.keep);
                         v.keep
                     }),
@@ -1363,5 +1378,44 @@ mod tests {
         assert!(f.after_same_merger >= f.after_som_dedup);
         assert!(f.after_som_dedup >= f.after_cost_shift);
         assert!(f.after_cost_shift >= f.after_pairwise_dedup);
+    }
+
+    #[test]
+    fn went_away_stats_account_for_every_short_term_candidate() {
+        use crate::went_away::DecidedBy;
+        let store = TsdbStore::new();
+        let mut ids = Vec::new();
+        for i in 0..20u64 {
+            let id = SeriesId::new("svc", MetricKind::GCpu, format!("s{i}"));
+            // Steps that persist, and spikes that are back down by the end.
+            fill_series(&store, &id, 450, move |t| {
+                let base = match i % 3 {
+                    0 if t >= 3_800 => 0.02,
+                    1 if (3_800..4_100).contains(&t) => 0.02,
+                    _ => 0.01,
+                };
+                base + noise(t ^ i, 0.001)
+            });
+            ids.push(id);
+        }
+        let mut config = test_config(0.005);
+        config.long_term_enabled = false;
+        let mut p = Pipeline::new(config).unwrap();
+        let first = p.scan(&store, &ids, 4_500, &ScanContext::default()).unwrap();
+        let stats = p.went_away_stats();
+        let kept = [DecidedBy::TooShort, DecidedBy::NewPattern, DecidedBy::Lasting];
+        let decided: u64 = DecidedBy::ALL.iter().map(|&t| stats.decided_by(t)).sum();
+        assert_eq!(decided as usize, first.funnel.change_points);
+        assert_eq!(
+            kept.iter().map(|&t| stats.decided_by(t)).sum::<u64>() as usize,
+            first.funnel.after_went_away
+        );
+        assert!(stats.decided_by(DecidedBy::GoneAway) > 0, "stats = {stats:?}");
+        assert_eq!(stats.replayed, 0);
+        // Same watermark again: every verdict is replayed, none re-decided.
+        p.scan(&store, &ids, 4_500, &ScanContext::default()).unwrap();
+        let again = p.went_away_stats();
+        assert_eq!(again.replayed as usize, first.funnel.change_points);
+        assert_eq!(again.named()[..7], stats.named()[..7]);
     }
 }

@@ -20,7 +20,8 @@ use fbd_changelog::{Change, ChangeId, ChangeLog};
 use fbd_profiler::callgraph::{CallGraph, FrameId};
 use fbd_profiler::sample::StackSample;
 use fbd_stats::regression::pearson;
-use fbd_stats::text::{cosine_similarity, weighted_word_vector};
+use fbd_stats::text::{cosine_similarity, weighted_word_vector, SparseVector};
+use std::collections::BTreeMap;
 
 /// Evidence available to RCA beyond the time series itself.
 #[derive(Default)]
@@ -82,11 +83,21 @@ impl RootCauseAnalyzer {
         if candidates.is_empty() {
             return Ok(Vec::new());
         }
+        // Everything that depends on the regression alone is computed once
+        // per report, not once per candidate change: its word vector, and
+        // the timing factor of each distinct sample index a deploy lands on.
+        let regression_vector = regression_word_vector(regression, context);
+        let clock = SampleClock::of(regression);
+        let mut timing_by_index: BTreeMap<usize, f64> = BTreeMap::new();
         let mut ranked = Vec::with_capacity(candidates.len());
         for change in candidates {
             let attribution = self.gcpu_attribution_factor(regression, change, context);
-            let text = self.text_factor(regression, change, context);
-            let timing = self.timing_factor(regression, change)?;
+            let text = cosine_similarity(&regression_vector, &change_word_vector(change));
+            let timing = clock.index_of(change.deploy_time).map_or(0.0, |index| {
+                *timing_by_index
+                    .entry(index)
+                    .or_insert_with(|| step_correlation(regression.windows.all(), index))
+            });
             let score = self.factor_weights[0] * attribution
                 + self.factor_weights[1] * text
                 + self.factor_weights[2] * timing;
@@ -140,74 +151,88 @@ impl RootCauseAnalyzer {
         )
     }
 
-    /// Factor 2: cosine similarity between regression and change contexts.
-    fn text_factor(
-        &self,
-        regression: &Regression,
-        change: &Change,
-        context: &RcaContext<'_>,
-    ) -> f64 {
-        let metric_id = regression.metric_id();
-        let mut fields: Vec<(&str, f64)> = vec![
-            (metric_id.as_str(), 1.0),
-            (regression.series.target.as_str(), 2.0),
-        ];
-        // Include stack-frame names around the regressed subroutine when a
-        // graph is available (the paper's "stack traces (if available)").
-        let frame_names: String = context
-            .graph
-            .and_then(|g| {
-                let id = g.frame_by_name(&regression.series.target).ok()?;
-                let path = g.path_to_root(id).ok()?;
-                Some(
-                    path.iter()
-                        .filter_map(|&f| g.frame(f).ok().map(|fr| fr.name.clone()))
-                        .collect::<Vec<String>>()
-                        .join(" "),
-                )
-            })
-            .unwrap_or_default();
-        if !frame_names.is_empty() {
-            fields.push((frame_names.as_str(), 1.0));
+}
+
+/// Factor 2, regression side: weighted words of the metric id, the
+/// regressed subroutine and — when a graph is available (the paper's "stack
+/// traces (if available)") — the stack-frame names on its path to the root.
+fn regression_word_vector(regression: &Regression, context: &RcaContext<'_>) -> SparseVector {
+    let metric_id = regression.metric_id();
+    let mut fields: Vec<(&str, f64)> = vec![
+        (metric_id.as_str(), 1.0),
+        (regression.series.target.as_str(), 2.0),
+    ];
+    let frame_names: String = context
+        .graph
+        .and_then(|g| {
+            let id = g.frame_by_name(&regression.series.target).ok()?;
+            let path = g.path_to_root(id).ok()?;
+            Some(
+                path.iter()
+                    .filter_map(|&f| g.frame(f).ok().map(|fr| fr.name.clone()))
+                    .collect::<Vec<String>>()
+                    .join(" "),
+            )
+        })
+        .unwrap_or_default();
+    if !frame_names.is_empty() {
+        fields.push((frame_names.as_str(), 1.0));
+    }
+    weighted_word_vector(&fields)
+}
+
+/// Factor 2, change side: weighted words of the title, summary, files and
+/// modified subroutines.
+fn change_word_vector(change: &Change) -> SparseVector {
+    let files = change.files.join(" ");
+    weighted_word_vector(&[
+        (change.title.as_str(), 2.0),
+        (change.summary.as_str(), 1.0),
+        (files.as_str(), 1.0),
+        (change.modified_subroutines.join(" ").as_str(), 2.0),
+    ])
+}
+
+/// Per-sample timestamps of a regression's windows, reconstructed from the
+/// analysis window bounds, for placing a deploy time on the sample axis.
+struct SampleClock {
+    start_time: f64,
+    dt: f64,
+    samples: usize,
+}
+
+impl SampleClock {
+    fn of(regression: &Regression) -> Self {
+        let windows = &regression.windows;
+        let a_len = windows.analysis_len().max(1);
+        let span = windows.analysis_end.saturating_sub(windows.analysis_start).max(1);
+        let dt = (span as f64 / a_len as f64).max(1.0);
+        SampleClock {
+            start_time: windows.analysis_start as f64 - windows.historic_len() as f64 * dt,
+            dt,
+            samples: windows.total_len(),
         }
-        let regression_vector = weighted_word_vector(&fields);
-        let files = change.files.join(" ");
-        let change_vector = weighted_word_vector(&[
-            (change.title.as_str(), 2.0),
-            (change.summary.as_str(), 1.0),
-            (files.as_str(), 1.0),
-            (change.modified_subroutines.join(" ").as_str(), 2.0),
-        ]);
-        cosine_similarity(&regression_vector, &change_vector)
     }
 
-    /// Factor 3: Pearson correlation between the series and a unit step at
-    /// the change's deploy time.
-    fn timing_factor(&self, regression: &Regression, change: &Change) -> Result<f64> {
-        let values = regression.windows.all();
-        let n = values.len();
-        if n < 4 {
-            return Ok(0.0);
+    /// The sample index a deploy at `deploy_time` lands on, or `None` when a
+    /// step there cannot be correlated: fewer than four samples, or an index
+    /// outside the interior of the windows.
+    fn index_of(&self, deploy_time: u64) -> Option<usize> {
+        if self.samples < 4 {
+            return None;
         }
-        // Reconstruct per-sample timestamps from the analysis window bounds.
-        let a_len = regression.windows.analysis_len().max(1);
-        let span = regression
-            .windows
-            .analysis_end
-            .saturating_sub(regression.windows.analysis_start)
-            .max(1);
-        let dt = (span as f64 / a_len as f64).max(1.0);
-        let h_len = regression.windows.historic_len();
-        let start_time = regression.windows.analysis_start as f64 - h_len as f64 * dt;
-        let deploy_index = ((change.deploy_time as f64 - start_time) / dt).round();
-        if deploy_index <= 0.0 || deploy_index as usize >= n - 1 {
-            return Ok(0.0);
-        }
-        let step: Vec<f64> = (0..n)
-            .map(|i| if (i as f64) < deploy_index { 0.0 } else { 1.0 })
-            .collect();
-        Ok(pearson(values, &step).map(|c| c.max(0.0)).unwrap_or(0.0))
+        let index = ((deploy_time as f64 - self.start_time) / self.dt).round();
+        (index > 0.0 && (index as usize) < self.samples - 1).then_some(index as usize)
     }
+}
+
+/// Factor 3: Pearson correlation between the series and a unit step at
+/// sample `index`, floored at zero.
+fn step_correlation(values: &[f64], index: usize) -> f64 {
+    let step: Vec<f64> = (0..values.len())
+        .map(|i| if i < index { 0.0 } else { 1.0 })
+        .collect();
+    pearson(values, &step).map(|c| c.max(0.0)).unwrap_or(0.0)
 }
 
 /// The Table 2 computation: `L/R` where `R` is the regression's gCPU change
@@ -429,6 +454,41 @@ mod tests {
         let ranked = analyzer.analyze(&r, &log, &RcaContext::default()).unwrap();
         assert_eq!(ranked[0].change_id, 1);
         assert!(ranked[0].factors[1] > 0.0);
+    }
+
+    #[test]
+    fn shared_work_leaves_every_factor_unchanged() {
+        // Many changes landing on few distinct sample indices: the factors
+        // computed with the per-report sharing must equal, bit for bit,
+        // those of each change analyzed alone.
+        let changes: Vec<Change> = (1..=24)
+            .map(|id| {
+                let deploy_time = 10_030 + (id % 4) * 7;
+                change(id, deploy_time, &["hot_path"], &format!("touch hot_path variant {}", id % 5))
+            })
+            .collect();
+        let analyzer = RootCauseAnalyzer {
+            factor_weights: [0.0, 0.5, 0.5],
+            lookback: 10_000,
+            confidence_threshold: 0.0,
+            top_k: usize::MAX,
+        };
+        let r = regression_with_step(10_060);
+        let mut log = ChangeLog::new();
+        for c in &changes {
+            log.record(c.clone());
+        }
+        let together = analyzer.analyze(&r, &log, &RcaContext::default()).unwrap();
+        assert_eq!(together.len(), changes.len());
+        for c in &changes {
+            let mut alone = ChangeLog::new();
+            alone.record(c.clone());
+            let alone = analyzer.analyze(&r, &alone, &RcaContext::default()).unwrap();
+            let shared = together.iter().find(|k| k.change_id == c.id).unwrap();
+            assert_eq!(shared.score.to_bits(), alone[0].score.to_bits());
+            assert_eq!(shared.factors.map(f64::to_bits), alone[0].factors.map(f64::to_bits));
+            assert!(shared.factors[2] > 0.0, "timing factor exercised");
+        }
     }
 
     #[test]

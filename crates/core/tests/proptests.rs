@@ -7,7 +7,8 @@ use fbdetect_core::config::{DetectorConfig, Threshold};
 use fbdetect_core::dedup::same_merger::SameRegressionMerger;
 use fbdetect_core::long_term::LongTermDetector;
 use fbdetect_core::types::{Regression, RegressionKind};
-use fbdetect_core::went_away::WentAwayDetector;
+use fbdetect_core::scan_cache::ScanCache;
+use fbdetect_core::went_away::{DecidedBy, WentAwayDetector};
 use fbdetect_core::{FaultKind, Pipeline, Quarantine, QuarantineConfig, ScanContext, StreamingEngine};
 use proptest::prelude::*;
 
@@ -107,6 +108,49 @@ proptest! {
         let cfg = config(0.1);
         let wa = WentAwayDetector::from_config(&cfg);
         prop_assert!(wa.evaluate(&r).unwrap().keep);
+    }
+
+    #[test]
+    fn went_away_verdict_shape_and_cache_invariance(
+        seed in 0u64..500,
+        noise in 0.05f64..1.2,
+        delta in -0.3f64..1.5,
+        // Samples after the step before it recovers; 100.. never does.
+        recovers_after in 10usize..140,
+    ) {
+        let mut values = noisy_series(320, 1.0, noise, seed);
+        for v in values.iter_mut().skip(220).take(recovers_after) {
+            *v += delta;
+        }
+        let r = regression_from_values(&values, 219);
+        let wa = WentAwayDetector::from_config(&config(0.1));
+        let v = wa.evaluate(&r).unwrap();
+        // The decision follows from the deciding term, and exactly the
+        // terms up to it were evaluated.
+        let (keep, evaluated) = match v.decided_by {
+            DecidedBy::TooShort => (true, 0),
+            DecidedBy::Improvement => (false, 0),
+            DecidedBy::GoneAway => (false, 1),
+            DecidedBy::NewPattern => (true, 2),
+            DecidedBy::NotSignificant => (false, 3),
+            DecidedBy::Lasting => (true, 4),
+            DecidedBy::NotLasting => (false, 4),
+        };
+        prop_assert_eq!(v.keep, keep);
+        let terms = [v.gone_away, v.new_pattern, v.significant, v.lasting];
+        for (i, term) in terms.iter().enumerate() {
+            prop_assert_eq!(term.is_some(), i < evaluated, "term {} of {:?}", i, v);
+        }
+        let last = evaluated.checked_sub(1).and_then(|i| terms[i]);
+        prop_assert!(match v.decided_by {
+            DecidedBy::GoneAway | DecidedBy::NewPattern | DecidedBy::Lasting => last == Some(true),
+            DecidedBy::NotSignificant | DecidedBy::NotLasting => last == Some(false),
+            DecidedBy::TooShort | DecidedBy::Improvement => last.is_none(),
+        }, "{:?}", v);
+        // A cache miss, then a hit, change nothing.
+        let cache = ScanCache::new();
+        prop_assert_eq!(wa.evaluate_with_cache(&r, Some(&cache)).unwrap(), v);
+        prop_assert_eq!(wa.evaluate_with_cache(&r, Some(&cache)).unwrap(), v);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! absolute deviation used by the went-away detector's regression threshold
 //! (§5.2.2: `coefficient × median × 1.4826`).
 
-use crate::error::{ensure_finite, ensure_len};
+use crate::error::{ensure_finite, ensure_len, Finite};
+use crate::scratch::ScratchVec;
 use crate::{Result, StatsError};
 
 /// Normality constant that scales the MAD to estimate the standard deviation
@@ -18,8 +19,12 @@ pub const MAD_NORMALITY_CONSTANT: f64 = 1.4826;
 /// assert_eq!(m, 2.0);
 /// ```
 pub fn mean(data: &[f64]) -> Result<f64> {
-    ensure_len(data, 1)?;
-    ensure_finite(data)?;
+    mean_finite(Finite::new(data)?)
+}
+
+/// [`mean`] over an already validated slice.
+pub fn mean_finite(data: Finite<'_>) -> Result<f64> {
+    ensure_len(&data, 1)?;
     Ok(data.iter().sum::<f64>() / data.len() as f64)
 }
 
@@ -83,17 +88,29 @@ fn total_max(data: &[f64]) -> f64 {
 /// the central ranks, so the result is bit-identical to [`median_naive`]
 /// (the sort-based ground truth the property tests pin this against).
 pub fn median(data: &[f64]) -> Result<f64> {
-    ensure_len(data, 1)?;
-    ensure_finite(data)?;
-    let mut scratch = data.to_vec();
-    let n = scratch.len();
-    let (left, mid, _) = scratch.select_nth_unstable_by(n / 2, f64::total_cmp);
-    let mid = *mid;
+    median_finite(Finite::new(data)?)
+}
+
+/// [`median`] over an already validated slice.
+pub fn median_finite(data: Finite<'_>) -> Result<f64> {
+    ensure_len(&data, 1)?;
+    Ok(median_in_place(&mut ScratchVec::copied(&data)))
+}
+
+/// Median of a non-empty buffer by selection, reordering it.
+///
+/// For even lengths the lower middle element is the `total_cmp` maximum of
+/// the left partition after selecting the upper middle — the same value
+/// `sorted[n/2 − 1]` a sort would produce (ties under `total_cmp` imply bit
+/// equality for finite inputs), added in the same order, so the average is
+/// bit-identical to the sort-based median.
+pub(crate) fn median_in_place(values: &mut [f64]) -> f64 {
+    let n = values.len();
+    let (left, &mut mid, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        Ok(mid)
+        mid
     } else {
-        // sorted[n/2 - 1] is the greatest element of the left partition.
-        Ok(0.5 * (total_max(left) + mid))
+        0.5 * (total_max(left) + mid)
     }
 }
 
@@ -119,18 +136,22 @@ pub fn median_naive(data: &[f64]) -> Result<f64> {
 /// Uses O(n) selection for the (at most two) order statistics involved
 /// instead of sorting; bit-identical to [`percentile_naive`].
 pub fn percentile(data: &[f64], p: f64) -> Result<f64> {
-    ensure_len(data, 1)?;
-    ensure_finite(data)?;
+    percentile_finite(Finite::new(data)?, p)
+}
+
+/// [`percentile`] over an already validated slice.
+pub fn percentile_finite(data: Finite<'_>, p: f64) -> Result<f64> {
+    ensure_len(&data, 1)?;
     if !(0.0..=100.0).contains(&p) {
         return Err(StatsError::InvalidParameter(
             "percentile must be in [0, 100]",
         ));
     }
-    let mut scratch = data.to_vec();
-    let n = scratch.len();
+    let n = data.len();
     if n == 1 {
-        return Ok(scratch[0]);
+        return Ok(data[0]);
     }
+    let mut scratch = ScratchVec::copied(&data);
     let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -170,9 +191,17 @@ pub fn percentile_naive(data: &[f64], p: f64) -> Result<f64> {
 /// Multiply by [`MAD_NORMALITY_CONSTANT`] to obtain a robust estimate of the
 /// standard deviation under normality.
 pub fn mad(data: &[f64]) -> Result<f64> {
-    let med = median(data)?;
-    let deviations: Vec<f64> = data.iter().map(|v| (v - med).abs()).collect();
-    median(&deviations)
+    mad_finite(Finite::new(data)?)
+}
+
+/// [`mad`] over an already validated slice.
+pub fn mad_finite(data: Finite<'_>) -> Result<f64> {
+    let med = median_finite(data)?;
+    let mut deviations = ScratchVec::with_capacity(data.len());
+    deviations.extend(data.iter().map(|v| (v - med).abs()));
+    // Finite samples can still be further apart than `f64::MAX`.
+    ensure_finite(&deviations)?;
+    Ok(median_in_place(&mut deviations))
 }
 
 /// Robust standard-deviation estimate: `MAD × 1.4826`.

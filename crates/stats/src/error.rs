@@ -53,6 +53,41 @@ pub(crate) fn ensure_finite(data: &[f64]) -> crate::Result<()> {
     }
 }
 
+/// A sample slice already proven free of NaN and ±∞.
+///
+/// A caller that feeds one window to several kernels validates it once with
+/// [`Finite::new`] and hands the proof to the `*_finite` entry points
+/// ([`crate::descriptive::mean_finite`], [`crate::trend::mann_kendall_finite`],
+/// …), which then skip their own O(n) sweep. Any sub-range of a finite slice
+/// is finite, so [`Finite::slice`] keeps the proof.
+#[derive(Debug, Clone, Copy)]
+pub struct Finite<'a>(&'a [f64]);
+
+impl<'a> Finite<'a> {
+    /// Validates `data`; the only way to obtain a `Finite`.
+    pub fn new(data: &'a [f64]) -> crate::Result<Self> {
+        ensure_finite(data)?;
+        Ok(Finite(data))
+    }
+
+    /// A sub-range of the validated samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` is out of bounds, like slice indexing.
+    pub fn slice(self, range: impl std::slice::SliceIndex<[f64], Output = [f64]>) -> Finite<'a> {
+        Finite(&self.0[range])
+    }
+}
+
+impl std::ops::Deref for Finite<'_> {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        self.0
+    }
+}
+
 /// Returns an error if `data` is shorter than `required`.
 pub(crate) fn ensure_len(data: &[f64], required: usize) -> crate::Result<()> {
     if data.is_empty() {

@@ -46,7 +46,7 @@ pub mod streaming;
 pub mod text;
 pub mod trend;
 
-pub use error::StatsError;
+pub use error::{Finite, StatsError};
 
 /// Convenience alias used by every fallible routine in this crate.
 pub type Result<T> = std::result::Result<T, StatsError>;

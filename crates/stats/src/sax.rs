@@ -156,6 +156,23 @@ pub fn encode(data: &[f64], config: SaxConfig) -> Result<SaxString> {
     encode_in_range(data, range_min, range_max, config)
 }
 
+/// The parameter checks of [`encode_in_range`], for callers that must report
+/// its errors without paying for the encoding.
+pub fn check_encoding(range_min: f64, range_max: f64, config: SaxConfig) -> Result<()> {
+    if config.buckets == 0 {
+        return Err(StatsError::InvalidParameter("buckets must be positive"));
+    }
+    if !(0.0..=1.0).contains(&config.validity_fraction) {
+        return Err(StatsError::InvalidParameter(
+            "validity_fraction must be in [0, 1]",
+        ));
+    }
+    if range_min > range_max || !range_min.is_finite() || !range_max.is_finite() {
+        return Err(StatsError::InvalidParameter("invalid SAX range"));
+    }
+    Ok(())
+}
+
 /// Encodes `data` using equal-width buckets over an explicit
 /// `[range_min, range_max]` range; values outside clamp to edge buckets.
 ///
@@ -179,17 +196,7 @@ pub fn encode_in_range(
 ) -> Result<SaxString> {
     ensure_len(data, 1)?;
     ensure_finite(data)?;
-    if config.buckets == 0 {
-        return Err(StatsError::InvalidParameter("buckets must be positive"));
-    }
-    if !(0.0..=1.0).contains(&config.validity_fraction) {
-        return Err(StatsError::InvalidParameter(
-            "validity_fraction must be in [0, 1]",
-        ));
-    }
-    if range_min > range_max || !range_min.is_finite() || !range_max.is_finite() {
-        return Err(StatsError::InvalidParameter("invalid SAX range"));
-    }
+    check_encoding(range_min, range_max, config)?;
     let width = (range_max - range_min) / config.buckets as f64;
     let symbols: Vec<u8> = data
         .iter()

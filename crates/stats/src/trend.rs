@@ -5,8 +5,10 @@
 //! trend persists after a change point, and Theil-Sen to measure the trend's
 //! slope and intercept robustly.
 
+use crate::descriptive::median_in_place;
 use crate::distributions::normal_two_sided_p;
-use crate::error::{ensure_finite, ensure_len};
+use crate::error::{ensure_finite, ensure_len, Finite};
+use crate::scratch::ScratchVec;
 use crate::Result;
 
 /// Direction of a monotonic trend.
@@ -53,10 +55,15 @@ pub struct MannKendallResult {
 /// ```
 pub fn mann_kendall(data: &[f64], significance: f64) -> Result<MannKendallResult> {
     ensure_len(data, 4)?;
-    ensure_finite(data)?;
+    mann_kendall_finite(Finite::new(data)?, significance)
+}
+
+/// [`mann_kendall`] over an already validated slice.
+pub fn mann_kendall_finite(data: Finite<'_>, significance: f64) -> Result<MannKendallResult> {
+    ensure_len(&data, 4)?;
     let n = data.len();
-    let mut sorted = data.to_vec();
-    let mut buf = vec![0.0; n];
+    let mut sorted = ScratchVec::copied(&data);
+    let mut buf = ScratchVec::zeroed(n);
     let discordant = count_inversions(&mut sorted, &mut buf);
     // Tied pairs and the variance tie term from the (now sorted) array.
     let mut tie_pairs: i64 = 0;
@@ -65,8 +72,7 @@ pub fn mann_kendall(data: &[f64], significance: f64) -> Result<MannKendallResult
     for i in 1..=n {
         // Bit equality matches the `total_cmp` ordering used for both the
         // merge sort above and the naive S statistic, so tie runs are exactly
-        // the `Ordering::Equal` groups (inputs are finite per
-        // `ensure_finite`).
+        // the `Ordering::Equal` groups (inputs are finite).
         if i < n && sorted[i].to_bits() == sorted[i - 1].to_bits() {
             run += 1;
         } else {
@@ -220,22 +226,34 @@ pub struct TheilSenFit {
 /// bit-identical to [`theil_sen_naive`] (pinned by property tests).
 pub fn theil_sen(data: &[f64]) -> Result<TheilSenFit> {
     ensure_len(data, 2)?;
-    ensure_finite(data)?;
-    let n = data.len();
-    let mut slopes = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n - 1 {
-        for j in i + 1..n {
-            slopes.push((data[j] - data[i]) / (j - i) as f64);
-        }
-    }
-    let slope = median_by_selection(&mut slopes);
-    let mut intercepts: Vec<f64> = data
-        .iter()
-        .enumerate()
-        .map(|(i, &y)| y - slope * i as f64)
-        .collect();
-    let intercept = median_by_selection(&mut intercepts);
+    let data = Finite::new(data)?;
+    let slope = theil_sen_slope(data)?;
+    let mut intercepts = ScratchVec::with_capacity(data.len());
+    intercepts.extend(data.iter().enumerate().map(|(i, &y)| y - slope * i as f64));
+    let intercept = median_in_place(&mut intercepts);
     Ok(TheilSenFit { slope, intercept })
+}
+
+/// The slope of [`theil_sen`] alone, over an already validated slice.
+///
+/// The n(n−1)/2 pairwise slopes live in the thread's [`ScratchVec`] pool, so
+/// a warmed-up thread selects their median without touching the allocator
+/// (≈ 360 KB per call at n = 300 otherwise).
+// fbd-lint::hot
+pub fn theil_sen_slope(data: Finite<'_>) -> Result<f64> {
+    ensure_len(&data, 2)?;
+    let n = data.len();
+    let mut slopes = ScratchVec::with_capacity(n * (n - 1) / 2);
+    for (i, &yi) in data.iter().enumerate() {
+        // `dx` = j − i; an `i32` converts to `f64` in vector registers.
+        slopes.extend(
+            data[i + 1..]
+                .iter()
+                .zip(1i32..)
+                .map(|(&yj, dx)| (yj - yi) / f64::from(dx)),
+        );
+    }
+    Ok(median_in_place(&mut slopes))
 }
 
 /// Reference Theil-Sen via a full sort of all pairwise slopes.
@@ -270,28 +288,6 @@ fn median_of_sorted(sorted: &[f64]) -> f64 {
         sorted[n / 2]
     } else {
         0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-    }
-}
-
-/// Median via `select_nth_unstable_by` instead of a full sort.
-///
-/// For even lengths the lower middle element is the `total_cmp` maximum of
-/// the left partition after selecting the upper middle — the same value
-/// `sorted[n/2 − 1]` a sort would produce (ties under `total_cmp` imply bit
-/// equality for finite inputs), added in the same order, so the average is
-/// bit-identical to [`median_of_sorted`] on the sorted array.
-fn median_by_selection(values: &mut [f64]) -> f64 {
-    let n = values.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mid = n / 2;
-    let (left, &mut hi, _) = values.select_nth_unstable_by(mid, f64::total_cmp);
-    if n % 2 == 1 {
-        hi
-    } else {
-        let lo = left.iter().copied().max_by(f64::total_cmp).unwrap_or(hi);
-        0.5 * (lo + hi)
     }
 }
 
@@ -401,15 +397,50 @@ mod tests {
         }
     }
 
+    /// Both fast entries against the sort-based oracle, bit for bit.
+    fn assert_theil_sen_matches_naive(data: &[f64], what: &str) {
+        let slow = theil_sen_naive(data).unwrap();
+        let fast = theil_sen(data).unwrap();
+        assert_eq!(fast.slope.to_bits(), slow.slope.to_bits(), "{what}: slope");
+        assert_eq!(fast.intercept.to_bits(), slow.intercept.to_bits(), "{what}: intercept");
+        let slope_only = theil_sen_slope(Finite::new(data).unwrap()).unwrap();
+        assert_eq!(slope_only.to_bits(), slow.slope.to_bits(), "{what}: slope-only entry");
+    }
+
     #[test]
     fn fast_theil_sen_bit_identical_to_naive() {
-        for &(n, seed) in &[(2usize, 5u64), (3, 6), (50, 7), (101, 8), (225, 9)] {
-            let data = pseudo_series(n, seed, 7.0);
-            let fast = theil_sen(&data).unwrap();
-            let slow = theil_sen_naive(&data).unwrap();
-            assert_eq!(fast.slope.to_bits(), slow.slope.to_bits(), "n={n}");
-            assert_eq!(fast.intercept.to_bits(), slow.intercept.to_bits());
+        // Down to the two-sample minimum, the benchmark's mean window (223),
+        // the went-away post-window ceiling (300), and past it; even and odd
+        // slope counts both occur.
+        for &(n, seed) in &[(2usize, 5u64), (3, 6), (4, 10), (50, 7), (101, 8), (223, 9), (300, 11), (901, 12)]
+        {
+            assert_theil_sen_matches_naive(&pseudo_series(n, seed, 7.0), &format!("n={n}"));
+            // Coarse quantization: most pairwise slopes are exact ties.
+            assert_theil_sen_matches_naive(&pseudo_series(n, seed, 400.0), &format!("n={n} heavy ties"));
+            assert_theil_sen_matches_naive(&vec![7.25; n], &format!("n={n} all equal"));
         }
+        // Signed zeros tie numerically but not under `total_cmp`.
+        assert_theil_sen_matches_naive(&[0.0, -0.0, 0.0, -0.0, -0.0, 0.0], "signed zeros");
+    }
+
+    #[test]
+    fn theil_sen_is_reentrant_over_a_checked_out_scratch() {
+        // The slopes live in the thread's scratch pool; a caller holding
+        // pooled buffers of its own (as the detectors do) must neither see
+        // them clobbered nor change the fit.
+        let data = pseudo_series(120, 13, 7.0);
+        let expected = theil_sen_naive(&data).unwrap();
+        let outer = ScratchVec::copied(&data);
+        let mut big = ScratchVec::zeroed(120 * 119 / 2);
+        big[0] = 42.0;
+        for _ in 0..3 {
+            let fit = theil_sen(&outer).unwrap();
+            assert_eq!(fit.slope.to_bits(), expected.slope.to_bits());
+            assert_eq!(fit.intercept.to_bits(), expected.intercept.to_bits());
+        }
+        assert_eq!(outer[..], data[..]);
+        assert_eq!(big[0].to_bits(), 42.0f64.to_bits());
+        assert!(big[1..].iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

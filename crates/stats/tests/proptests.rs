@@ -4,7 +4,7 @@ use fbd_stats::prefix::PrefixStats;
 use fbd_stats::streaming::RollingStats;
 use fbd_stats::{
     acf, changepoint, cusum, descriptive, distributions, em, fourier, hypothesis, online,
-    regression, sax, smoothing, stl, text, trend,
+    regression, sax, smoothing, stl, text, trend, Finite,
 };
 use proptest::prelude::*;
 
@@ -265,11 +265,56 @@ proptest! {
     #[test]
     fn theil_sen_selection_bit_identical_to_sort(data in finite_series(2, 80)) {
         // Median-by-selection over pairwise slopes must reproduce the
-        // sort-based median exactly (total_cmp ties are bit-equal values).
+        // sort-based median exactly (total_cmp ties are bit-equal values),
+        // through the full fit and the slope-only entry alike.
         let fast = trend::theil_sen(&data).unwrap();
         let naive = trend::theil_sen_naive(&data).unwrap();
         prop_assert_eq!(fast.slope.to_bits(), naive.slope.to_bits());
         prop_assert_eq!(fast.intercept.to_bits(), naive.intercept.to_bits());
+        let slope = trend::theil_sen_slope(Finite::new(&data).unwrap()).unwrap();
+        prop_assert_eq!(slope.to_bits(), naive.slope.to_bits());
+    }
+
+    #[test]
+    fn theil_sen_bit_identical_at_window_sizes_and_ties(
+        size in 0usize..6,
+        levels in 1i64..40,
+        seed in 0u64..1_000,
+    ) {
+        // The sizes the went-away stage and the benchmark reach (plus the
+        // minimum), over integer-valued series: `levels == 1` is all-equal,
+        // small `levels` leaves most pairwise slopes exactly tied.
+        let n = [2usize, 3, 4, 223, 300, 901][size];
+        let data: Vec<f64> = (0..n as u64)
+            .map(|i| {
+                let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                ((z >> 33) as i64 % levels) as f64
+            })
+            .collect();
+        let naive = trend::theil_sen_naive(&data).unwrap();
+        let fast = trend::theil_sen(&data).unwrap();
+        prop_assert_eq!(fast.slope.to_bits(), naive.slope.to_bits());
+        prop_assert_eq!(fast.intercept.to_bits(), naive.intercept.to_bits());
+        let slope = trend::theil_sen_slope(Finite::new(&data).unwrap()).unwrap();
+        prop_assert_eq!(slope.to_bits(), naive.slope.to_bits());
+    }
+
+    #[test]
+    fn validated_entries_equal_the_checked_ones(data in finite_series(4, 120), p in 0.0f64..100.0) {
+        // A `Finite` proof only skips the sweep: same bits, every kernel.
+        let f = Finite::new(&data).unwrap();
+        prop_assert_eq!(descriptive::mean_finite(f).unwrap().to_bits(), descriptive::mean(&data).unwrap().to_bits());
+        prop_assert_eq!(descriptive::median_finite(f).unwrap().to_bits(), descriptive::median_naive(&data).unwrap().to_bits());
+        prop_assert_eq!(descriptive::mad_finite(f).unwrap().to_bits(), descriptive::mad(&data).unwrap().to_bits());
+        prop_assert_eq!(
+            descriptive::percentile_finite(f, p).unwrap().to_bits(),
+            descriptive::percentile_naive(&data, p).unwrap().to_bits()
+        );
+        prop_assert_eq!(trend::mann_kendall_finite(f, 0.05).unwrap(), trend::mann_kendall_naive(&data, 0.05).unwrap());
+        // Sub-ranges keep the proof.
+        let tail = f.slice(data.len() / 2..);
+        prop_assert_eq!(descriptive::mean_finite(tail).unwrap().to_bits(), descriptive::mean(&data[data.len() / 2..]).unwrap().to_bits());
     }
 
     #[test]

@@ -706,6 +706,8 @@ impl BlockIter<'_> {
             if self.prev_leading + self.prev_sig_len > 64 {
                 return None; // corrupt window descriptor
             }
+        } else if self.prev_sig_len == 0 {
+            return None; // corrupt: window reuse before any window was set
         }
         let trailing = 64 - self.prev_leading - self.prev_sig_len;
         let payload = self.reader.read_long(self.prev_sig_len)?;
@@ -794,6 +796,8 @@ impl ReferenceBlockIter<'_> {
             if self.prev_leading + self.prev_sig_len > 64 {
                 return None; // corrupt window descriptor
             }
+        } else if self.prev_sig_len == 0 {
+            return None; // corrupt: window reuse before any window was set
         }
         let trailing = 64 - self.prev_leading - self.prev_sig_len;
         let payload = self.reader.read_bits(self.prev_sig_len)?;

@@ -3,7 +3,8 @@
 use fbd_tsdb::aggregate::{aligned_mean, mean_of_series};
 use fbd_tsdb::window::{extract_windows, WindowConfig};
 use fbd_tsdb::{
-    DataPoint, MetricKind, SealedBlock, SeriesDelta, SeriesId, StoreConfig, TimeSeries, TsdbStore,
+    BlockBuilder, DataPoint, MetricKind, SealedBlock, SeriesDelta, SeriesId, StoreConfig,
+    TimeSeries, TsdbStore,
 };
 use proptest::prelude::*;
 
@@ -325,4 +326,27 @@ proptest! {
         }
         prop_assert_eq!(store.get(&id).unwrap().len(), total);
     }
+}
+
+/// Corrupt-payload regression: the "reuse previous window" control bit set
+/// on the first XOR record, before any leading/length window exists. A
+/// zero-length window is a zero-bit read and a 64-bit shift, which the two
+/// readers used to resolve differently; both decoders must stop at the
+/// record, having read the same points.
+#[test]
+fn reuse_window_control_bit_set_before_any_window_exists() {
+    let mut b = BlockBuilder::new();
+    b.push(DataPoint { timestamp: 0, value: 1.0 });
+    b.push(DataPoint { timestamp: 60, value: 2.0 });
+    let block = b.seal();
+    let mut bytes = block.payload().to_vec();
+    // Bit 138 is the second control bit of the first value record:
+    // '11' (fresh window) -> '10' (reuse) with no window ever set.
+    bytes[17] ^= 1 << 5;
+    let corrupt = SealedBlock::from_raw_parts(bytes, block.count());
+    let word: Vec<(u64, u64)> = corrupt.iter().map(|p| (p.timestamp, p.value.to_bits())).collect();
+    let legacy: Vec<(u64, u64)> =
+        corrupt.reference_iter().map(|p| (p.timestamp, p.value.to_bits())).collect();
+    assert_eq!(word, legacy);
+    assert_eq!(word, [(0, 1.0f64.to_bits())]);
 }
