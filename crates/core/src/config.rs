@@ -31,6 +31,26 @@ impl Threshold {
         }
     }
 
+    /// Whether no shift from a baseline of at least `baseline_lb` to a
+    /// current value of at most `current_ub` can meet the threshold — the
+    /// one refutation rule behind the long-term pre-filters and their
+    /// online replica. `is_met` is monotone (decreasing in the baseline,
+    /// increasing in the current value) for absolute thresholds always,
+    /// and for relative thresholds only when the baseline bound is
+    /// positive and the threshold non-negative — exactly the cases where
+    /// refuting the optimistic pair refutes every pair in the box. Any
+    /// other case, and any non-finite bound, refutes nothing.
+    pub(crate) fn refuted_by(&self, baseline_lb: f64, current_ub: f64) -> bool {
+        let monotone_safe = match *self {
+            Threshold::Absolute(_) => true,
+            Threshold::Relative(t) => t >= 0.0 && baseline_lb > 0.0,
+        };
+        baseline_lb.is_finite()
+            && current_ub.is_finite()
+            && monotone_safe
+            && !self.is_met(baseline_lb, current_ub)
+    }
+
     /// The threshold expressed in absolute units for a given baseline.
     pub fn absolute_for(&self, baseline: f64) -> f64 {
         match *self {

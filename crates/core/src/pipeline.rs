@@ -8,8 +8,9 @@
 //! filtering. Per-stage [`FunnelCounters`] reproduce Table 3.
 //!
 //! Series scanning is embarrassingly parallel; the expensive per-series
-//! detection step fans out across threads with `crossbeam::scope`, matching
-//! the paper's "scanning different time series in parallel".
+//! detection step fans out across threads with `crossbeam::scope`, one
+//! store shard at a time ([`Pipeline::detect_sharded`]), matching the
+//! paper's "scanning different time series in parallel".
 //!
 //! The scan acts as a fault-tolerant *supervisor*: each per-series
 //! detection task runs under `catch_unwind`, failing series are parked in a
@@ -39,7 +40,6 @@ use fbd_profiler::callgraph::CallGraph;
 use fbd_profiler::gcpu::stack_trace_overlap;
 use fbd_profiler::sample::StackSample;
 use fbd_tsdb::{MetricKind, SeriesId, Timestamp, TsdbStore, WindowedData};
-use fbd_sync::{LockDomain, OrderedMutex};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -108,22 +108,9 @@ impl Default for ScanBudget {
 /// detector would.
 pub type ChaosHook = Arc<dyn Fn(&SeriesId) + Send + Sync>;
 
-/// Per-series outcome inside the supervised detection fan-out. The `Ok`
-/// payload is boxed: regressions are large and faults are the common case
-/// at scale, so the enum stays small.
-enum SeriesScan {
-    Ok(Box<SeriesDetections>),
-    NoData(String),
-    BadData(String),
-    Error(DetectError),
-}
-
-/// Detections for one healthy series.
-struct SeriesDetections {
-    short: Option<Regression>,
-    long: Option<Regression>,
-    partial: bool,
-}
+/// Per-series outcome inside the supervised detection fan-out: the
+/// engine's replayable verdict, or the detector error that prevented one.
+type SeriesScan = std::result::Result<CachedScan, DetectError>;
 
 /// Aggregated result of the supervised detection stage.
 #[derive(Default)]
@@ -226,11 +213,6 @@ impl Pipeline {
         &self.quarantine
     }
 
-    /// Replaces the quarantine backoff policy (keeps the re-run interval).
-    pub fn set_quarantine_config(&mut self, config: QuarantineConfig) {
-        self.quarantine = Quarantine::new(config, self.config.windows.rerun_interval);
-    }
-
     /// Hit/miss counters of the cross-scan artifact cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -239,11 +221,6 @@ impl Pipeline {
     /// Resets the artifact cache's hit/miss counters (entries are kept).
     pub fn reset_cache_stats(&self) {
         self.cache.reset_stats()
-    }
-
-    /// Drops every cached cross-scan artifact.
-    pub fn clear_cache(&self) {
-        self.cache.clear()
     }
 
     /// Enables or disables the streaming incremental scan engine.
@@ -286,11 +263,6 @@ impl Pipeline {
     /// [`StageNanos::since`] to attribute that round stage by stage.
     pub fn stage_profile(&self) -> StageNanos {
         self.stage_profile.snapshot()
-    }
-
-    /// Zeroes the per-stage wall-time totals.
-    pub fn reset_stage_profile(&self) {
-        self.stage_profile.reset()
     }
 
     /// How many short-term candidates each term of the went-away predicate
@@ -365,9 +337,9 @@ impl Pipeline {
         if let Some(engine) = self.streaming.as_mut() {
             engine.round_prologue(now);
         }
-        // --- Stage 1: change-point detection, parallel across series,
+        // --- Stage 1: change-point detection, parallel across shards,
         // each series isolated under `catch_unwind`. ---
-        let batch = self.detect_parallel(store, &eligible, now)?;
+        let batch = self.detect_sharded(store, &eligible, now)?;
         // --- Streaming round close: stale engine states are swept. ---
         if let Some(engine) = self.streaming.as_mut() {
             engine.finish_round();
@@ -657,7 +629,7 @@ impl Pipeline {
     /// Runs detection on freshly extracted *raw* windows (the store /
     /// snapshot path): data-quality gate, orientation, then the detectors.
     /// Never called outside the `catch_unwind` isolation in
-    /// [`Pipeline::detect_parallel`].
+    /// [`Pipeline::detect_sharded`].
     fn detect_windowed(
         &self,
         id: &SeriesId,
@@ -667,42 +639,48 @@ impl Pipeline {
     ) -> SeriesScan {
         let mut windows = match windows {
             Ok(w) => w,
-            Err(e) => return SeriesScan::NoData(e.to_string()),
+            Err(e) => return Ok(CachedScan::NoData(e.to_string())),
         };
         // Data-quality gate: a window drowned in non-finite values (a NaN
         // burst from a broken collector) is a fault, not an input.
         for (name, values) in [("historic", windows.historic()), ("analysis", windows.analysis())] {
             let finite = values.iter().filter(|v| v.is_finite()).count();
             if (finite as f64) < self.budget.min_finite_fraction * values.len() as f64 {
-                return SeriesScan::BadData(format!(
+                return Ok(CachedScan::BadData(format!(
                     "{name} window: only {finite}/{} finite values",
                     values.len()
-                ));
+                )));
             }
         }
-        let partial = windows.coverage.is_partial(self.budget.min_coverage);
         Self::orient(&mut windows, id.metric);
+        self.run_detectors(id, &windows, now, prof)
+    }
+
+    /// Runs the short- and long-term detectors over one series' oriented,
+    /// gated windows — the one place a scan calls them, whichever way the
+    /// windows were obtained.
+    fn run_detectors(
+        &self,
+        id: &SeriesId,
+        windows: &WindowedData,
+        now: Timestamp,
+        prof: &mut StageNanos,
+    ) -> SeriesScan {
         let t = Instant::now();
-        let short = match self.change_point.detect(id, &windows, now) {
-            Ok(r) => r,
-            Err(e) => return SeriesScan::Error(e),
-        };
+        let short = self.change_point.detect(id, windows, now)?;
         prof.short_term += t.elapsed().as_nanos() as u64;
         let t = Instant::now();
         let long = if self.config.long_term_enabled {
-            match self.long_term.detect_cached(id, &windows, now, Some(&self.cache)) {
-                Ok(r) => r,
-                Err(e) => return SeriesScan::Error(e),
-            }
+            self.long_term.detect_cached(id, windows, Some(&self.cache))?
         } else {
             None
         };
         prof.long_term += t.elapsed().as_nanos() as u64;
-        SeriesScan::Ok(Box::new(SeriesDetections {
+        Ok(CachedScan::Ok {
             short,
             long,
-            partial,
-        }))
+            partial: windows.coverage.is_partial(self.budget.min_coverage),
+        })
     }
 
     /// Runs detection for one series through the streaming engine: replays
@@ -728,90 +706,46 @@ impl Pipeline {
                 prof.windowing += t.elapsed().as_nanos() as u64;
                 self.detect_windowed(id, windows, now, prof)
             }
-            Prepared::Reuse(outcome) => match outcome {
-                CachedScan::Ok {
-                    short,
-                    long,
-                    partial,
-                } => SeriesScan::Ok(Box::new(SeriesDetections {
-                    short,
-                    long,
-                    partial,
-                })),
-                CachedScan::NoData(detail) => SeriesScan::NoData(detail),
-                CachedScan::BadData(detail) => SeriesScan::BadData(detail),
-            },
+            Prepared::Reuse(outcome) => Ok(outcome),
             Prepared::Scan { windows, token } => {
-                // Engine windows are already oriented and passed the
-                // data-quality gate in `prepare`.
-                let partial = windows.coverage.is_partial(self.budget.min_coverage);
+                let scan = self.run_detectors(id, &windows, now, prof);
+                // A detector error records nothing but still returns the
+                // window buffer to the engine.
                 let t = Instant::now();
-                let short = match self.change_point.detect(id, &windows, now) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        engine.complete(id, token, None, windows);
-                        return SeriesScan::Error(e);
-                    }
-                };
-                prof.short_term += t.elapsed().as_nanos() as u64;
-                let t = Instant::now();
-                let long = if self.config.long_term_enabled {
-                    match self.long_term.detect_streaming(id, &windows, now, &self.cache) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            engine.complete(id, token, None, windows);
-                            return SeriesScan::Error(e);
-                        }
-                    }
-                } else {
-                    None
-                };
-                prof.long_term += t.elapsed().as_nanos() as u64;
-                let outcome = CachedScan::Ok {
-                    short: short.clone(),
-                    long: long.clone(),
-                    partial,
-                };
-                let t = Instant::now();
-                engine.complete(id, token, Some(outcome), windows);
+                engine.complete(id, token, scan.as_ref().ok().cloned(), windows);
                 prof.complete += t.elapsed().as_nanos() as u64;
-                SeriesScan::Ok(Box::new(SeriesDetections {
-                    short,
-                    long,
-                    partial,
-                }))
+                scan
             }
         }
     }
 
-    /// Folds one supervised per-series result into a worker's partial
-    /// batch (shared by both fan-out drivers).
-    fn record_scan(
-        part: &mut DetectBatch,
-        id: &SeriesId,
-        outcome: std::result::Result<SeriesScan, Box<dyn std::any::Any + Send>>,
-    ) {
-        match outcome {
-            Ok(SeriesScan::Ok(detections)) => {
-                part.short.extend(detections.short);
-                part.long.extend(detections.long);
-                part.partial += usize::from(detections.partial);
+    /// Runs one series' detection under supervision — the chaos hook and
+    /// `detect` inside `catch_unwind` — and folds the result into the
+    /// worker's partial batch.
+    fn supervise(&self, part: &mut DetectBatch, id: &SeriesId, detect: impl FnOnce() -> SeriesScan) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hook) = &self.chaos_hook {
+                hook(id);
             }
-            Ok(SeriesScan::NoData(detail)) => {
-                part.faults.push((id.clone(), FaultKind::NoData, detail));
+            detect()
+        }));
+        let (kind, detail) = match outcome {
+            Ok(Ok(CachedScan::Ok {
+                short,
+                long,
+                partial,
+            })) => {
+                part.short.extend(short);
+                part.long.extend(long);
+                part.partial += usize::from(partial);
+                return;
             }
-            Ok(SeriesScan::BadData(detail)) => {
-                part.faults.push((id.clone(), FaultKind::DataQuality, detail));
-            }
-            Ok(SeriesScan::Error(e)) => {
-                part.faults
-                    .push((id.clone(), FaultKind::DetectorError, e.to_string()));
-            }
-            Err(payload) => {
-                part.faults
-                    .push((id.clone(), FaultKind::Panic, panic_message(payload)));
-            }
-        }
+            Ok(Ok(CachedScan::NoData(detail))) => (FaultKind::NoData, detail),
+            Ok(Ok(CachedScan::BadData(detail))) => (FaultKind::DataQuality, detail),
+            Ok(Err(e)) => (FaultKind::DetectorError, e.to_string()),
+            Err(payload) => (FaultKind::Panic, panic_message(payload)),
+        };
+        part.faults.push((id.clone(), kind, detail));
     }
 
     /// Merges the workers' partial batches and restores a deterministic
@@ -833,112 +767,41 @@ impl Pipeline {
         Ok(batch)
     }
 
-    /// Stage-1 detection fanned out over worker threads, with each series
+    /// Stage-1 detection fanned out over worker threads — the one driver
+    /// behind every scan, streaming engine on or off — with each series
     /// supervised: a panicking or erroring detector loses that series
     /// only, never the scan.
     ///
-    /// With the streaming engine on, workers steal whole *shards*
-    /// ([`Pipeline::detect_sharded`]): the shard's delta ingest and its
-    /// series' detection stay on one core, so engine/store shard locks are
-    /// uncontended and the 1→N thread sweep scales with the shard count.
-    /// Lock acquisition order across both drivers follows the workspace
-    /// hierarchy in `LOCK_ORDER.manifest` (engine-shard before
-    /// store-shard, scan-cache as a leaf), enforced statically by
-    /// fbd-lint's `lock-order` rule and dynamically by the
-    /// [`fbd_sync`] debug validator.
-    /// With the engine off, workers steal series one at a time from a
-    /// shared atomic cursor instead of walking fixed chunks, so a run of
-    /// slow seasonal/STL series cannot straggle a whole chunk while other
-    /// workers sit idle — every thread stays busy until the list is
-    /// drained.
-    fn detect_parallel(
-        &self,
-        store: &TsdbStore,
-        series: &[&SeriesId],
-        now: Timestamp,
-    ) -> Result<DetectBatch> {
-        if let Some(engine) = self.streaming.as_ref() {
-            return self.detect_sharded(store, series, now, engine);
-        }
-        let threads = self.threads.clamp(1, 64).min(series.len().max(1));
-        // Engine off: extract every series' windows up front in one batched
-        // snapshot (one short read-lock hold per shard), so the workers
-        // below never touch a shard lock. Each slot is taken exactly once
-        // by whichever worker steals its index.
-        let t = Instant::now();
-        let snapshots: Vec<OrderedMutex<Option<fbd_tsdb::Result<WindowedData>>>> = store
-            .snapshot_windows(series, &self.config.windows, now)
-            .into_iter()
-            .map(|r| OrderedMutex::new(LockDomain::SnapshotSlot, Some(r)))
-            .collect();
-        self.stage_profile.add(&StageNanos {
-            windowing: t.elapsed().as_nanos() as u64,
-            ..StageNanos::default()
-        });
-        let next = AtomicUsize::new(0);
-        let joined = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let snapshots = &snapshots;
-                handles.push(scope.spawn(move |_| {
-                    let mut part = DetectBatch::default();
-                    let mut prof = StageNanos::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&id) = series.get(i) else { break };
-                        let detect = |prof: &mut StageNanos| {
-                            if let Some(hook) = &self.chaos_hook {
-                                hook(id);
-                            }
-                            let windows = match snapshots.get(i).and_then(|slot| slot.lock().take()) {
-                                Some(w) => w,
-                                None => store.windows(id, &self.config.windows, now),
-                            };
-                            self.detect_windowed(id, windows, now, prof)
-                        };
-                        Self::record_scan(
-                            &mut part,
-                            id,
-                            catch_unwind(AssertUnwindSafe(|| detect(&mut prof))),
-                        );
-                    }
-                    self.stage_profile.add(&prof);
-                    part
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<_>>()
-        })
-        .map_err(|_| DetectError::Panic("detection thread pool panicked".to_string()))?;
-        Self::join_batches(joined)
-    }
-
-    /// Shard-per-core detection drive for the streaming engine. Eligible
-    /// series are partitioned by their store shard
-    /// ([`fbd_tsdb::TsdbStore::shard_of`]) and workers steal whole shards
-    /// from an atomic cursor: a worker first ingests its shard's deltas
-    /// (one engine shard lock, one store shard read lock), then runs
-    /// supervised detection for every series in the shard. One shard's
-    /// locks therefore stay on one core for the whole round, and distinct
-    /// shards proceed fully in parallel — scan throughput scales with
-    /// threads up to the store's shard count.
-    /// [`StreamingEngine::round_prologue`] and
+    /// Eligible series are partitioned by their store shard
+    /// ([`fbd_tsdb::TsdbStore::shard_of`], which the engine's shards
+    /// mirror) and workers steal whole shards from an atomic cursor, so
+    /// every thread stays busy until the shards are drained. A worker that
+    /// steals a shard first obtains its series' data — with the engine on
+    /// by ingesting the shard's deltas ([`StreamingEngine::ingest_shard`]:
+    /// one engine shard lock, one store shard lock), with it off by one
+    /// batched [`fbd_tsdb::TsdbStore::snapshot_windows`] over the shard's
+    /// ids (one store shard lock) — then runs supervised detection for
+    /// every series in the shard. One shard's locks therefore stay on one
+    /// core for the whole round, distinct shards proceed fully in
+    /// parallel, and scan throughput scales with threads up to the store's
+    /// shard count. [`StreamingEngine::round_prologue`] and
     /// [`StreamingEngine::finish_round`] bracket this call in
     /// [`Pipeline::scan`].
+    ///
+    /// Lock acquisition order follows the workspace hierarchy in
+    /// `LOCK_ORDER.manifest` (engine-shard before store-shard, scan-cache
+    /// as a leaf), enforced statically by fbd-lint's `lock-order` rule and
+    /// dynamically by the [`fbd_sync`] debug validator.
     fn detect_sharded(
         &self,
         store: &TsdbStore,
         series: &[&SeriesId],
         now: Timestamp,
-        engine: &StreamingEngine,
     ) -> Result<DetectBatch> {
-        let shard_count = engine.shard_count();
-        let mut by_shard: Vec<Vec<&SeriesId>> = (0..shard_count).map(|_| Vec::new()).collect();
+        let mut by_shard: Vec<Vec<&SeriesId>> =
+            (0..TsdbStore::shard_count()).map(|_| Vec::new()).collect();
         for &id in series {
-            by_shard[TsdbStore::shard_of(id) % shard_count].push(id);
+            by_shard[TsdbStore::shard_of(id)].push(id);
         }
         let work: Vec<(usize, Vec<&SeriesId>)> = by_shard
             .into_iter()
@@ -959,20 +822,22 @@ impl Pipeline {
                         let w = next.fetch_add(1, Ordering::Relaxed);
                         let Some((shard_idx, ids)) = work.get(w) else { break };
                         let t = Instant::now();
-                        engine.ingest_shard(store, *shard_idx, ids, now);
-                        prof.ingest += t.elapsed().as_nanos() as u64;
-                        for &id in ids {
-                            let detect = |prof: &mut StageNanos| {
-                                if let Some(hook) = &self.chaos_hook {
-                                    hook(id);
-                                }
-                                self.detect_one_streaming(store, engine, id, now, prof)
-                            };
-                            Self::record_scan(
-                                &mut part,
-                                id,
-                                catch_unwind(AssertUnwindSafe(|| detect(&mut prof))),
-                            );
+                        if let Some(engine) = self.streaming.as_ref() {
+                            engine.ingest_shard(store, *shard_idx, ids, now);
+                            prof.ingest += t.elapsed().as_nanos() as u64;
+                            for &id in ids {
+                                self.supervise(&mut part, id, || {
+                                    self.detect_one_streaming(store, engine, id, now, &mut prof)
+                                });
+                            }
+                        } else {
+                            let windows = store.snapshot_windows(ids, &self.config.windows, now);
+                            prof.windowing += t.elapsed().as_nanos() as u64;
+                            for (&id, windows) in ids.iter().zip(windows) {
+                                self.supervise(&mut part, id, || {
+                                    self.detect_windowed(id, windows, now, &mut prof)
+                                });
+                            }
                         }
                     }
                     self.stage_profile.add(&prof);

@@ -11,8 +11,8 @@
 //!
 //! The [`StreamingEngine`] exploits that structure:
 //!
-//! * **Versioned delta ingest** — [`StreamingEngine::begin_round`] pulls
-//!   [`fbd_tsdb::SeriesDelta`]s in one batched store pass. An unchanged
+//! * **Versioned delta ingest** — [`StreamingEngine::ingest_shard`] pulls
+//!   [`fbd_tsdb::SeriesDelta`]s in one batched store pass per shard. An unchanged
 //!   series costs O(1) (a version compare, no bytes copied); an appended
 //!   series costs O(k) for k new points; only replaced/expired series pay a
 //!   full copy. Workers then never touch a shard lock.
@@ -71,9 +71,7 @@
 //! [`StreamingEngine::finish_round`] (serial: stale-state sweep). The
 //! shard-per-core driver in [`crate::pipeline::Pipeline`] pins each
 //! shard's ingest *and* its series' detection to one worker, so shard
-//! locks are uncontended in the steady state. The serial
-//! [`StreamingEngine::begin_round`] wrapper drives the same three steps
-//! for single-threaded callers and tests.
+//! locks are uncontended in the steady state.
 //!
 //! ## Known aliasing limit
 //!
@@ -86,7 +84,7 @@
 //! rebuilds it next round.
 
 use crate::config::Threshold;
-use crate::long_term::prefilter_geometry;
+use crate::long_term::{baseline_and_current, prefilter_geometry};
 use crate::types::Regression;
 use fbd_stats::distributions::chi_squared_p_value;
 use fbd_stats::online;
@@ -369,7 +367,7 @@ pub enum Prepared {
 /// [`StreamingEngine::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Rounds ingested via [`StreamingEngine::begin_round`].
+    /// Rounds opened via [`StreamingEngine::round_prologue`].
     pub rounds: u64,
     /// Series states currently held.
     pub tracked: u64,
@@ -497,8 +495,10 @@ impl StreamingEngine {
 
     /// Serially opens a round at watermark `now`: advances the round
     /// counter so the per-shard ingests and the stale sweep agree on the
-    /// round number. Must be called before any
-    /// [`StreamingEngine::ingest_shard`] of the round.
+    /// round number. A round is this call, then one
+    /// [`StreamingEngine::ingest_shard`] per shard holding series to scan
+    /// (each before that shard's first [`StreamingEngine::prepare`]), then
+    /// [`StreamingEngine::finish_round`].
     pub fn round_prologue(&mut self, now: Timestamp) {
         self.now = now;
         self.round += 1;
@@ -513,7 +513,8 @@ impl StreamingEngine {
     ///
     /// Thread-safe: takes exactly one engine shard lock, and the store
     /// pass — ids all routing to one store shard — takes exactly one store
-    /// shard read lock, so distinct shards ingest fully in parallel.
+    /// shard lock (in the mode [`TsdbStore::snapshot_deltas`] documents),
+    /// so distinct shards ingest fully in parallel.
     pub fn ingest_shard(
         &self,
         store: &TsdbStore,
@@ -619,27 +620,6 @@ impl StreamingEngine {
                     .retain(|_, s| s.touched + STALE_ROUNDS > round);
             }
         }
-    }
-
-    /// Ingests one round's deltas for the series about to be scanned at
-    /// `now`, serially: [`StreamingEngine::round_prologue`], one
-    /// [`StreamingEngine::ingest_shard`] per populated shard, then
-    /// [`StreamingEngine::finish_round`]. The shard-per-core driver calls
-    /// the three steps itself so ingests ride the detection workers; the
-    /// resulting states are identical either way. Must precede
-    /// [`StreamingEngine::prepare`] each round.
-    pub fn begin_round(&mut self, store: &TsdbStore, ids: &[&SeriesId], now: Timestamp) {
-        self.round_prologue(now);
-        let mut by_shard: Vec<Vec<&SeriesId>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for &id in ids {
-            by_shard[TsdbStore::shard_of(id) % self.shards.len()].push(id);
-        }
-        for (idx, shard_ids) in by_shard.iter().enumerate() {
-            if !shard_ids.is_empty() {
-                self.ingest_shard(store, idx, shard_ids, now);
-            }
-        }
-        self.finish_round();
     }
 
     /// Decides how to scan one series this round. Thread-safe: takes the
@@ -901,8 +881,8 @@ impl StreamingEngine {
     /// shared [`prefilter_geometry`] with a guard band covering the
     /// blockwise-vs-prefix rounding divergence — if the guarded optimistic
     /// (baseline, current) pair cannot meet the threshold, the cold
-    /// pre-filter's pair cannot either, and `detect_streaming` returns
-    /// `None` before any fallible call.
+    /// pre-filter's pair cannot either, and the long-term `detect`
+    /// returns `None` before any fallible call.
     #[allow(clippy::too_many_arguments)]
     fn refute_long(
         &self,
@@ -935,23 +915,11 @@ impl StreamingEngine {
             )
         });
         let g = ONLINE_REL_GUARD * s.stats.max_abs_upper_bound(parts.h, parts.n);
-        let baseline = start_hist.0.max(start_anal.0) - g;
-        let current = if e_len == 0 {
-            end_anal.1
-        } else {
-            end_anal.1.min(end_series.1)
-        } + g;
-        if !baseline.is_finite() || !current.is_finite() {
-            return false;
-        }
-        // Same monotonicity condition as the cold pre-filter: `is_met` is
-        // only monotone over the guard box when the baseline bound stays
-        // positive under a relative threshold.
-        let monotone_safe = match policy.threshold {
-            Threshold::Absolute(_) => true,
-            Threshold::Relative(t) => t >= 0.0 && baseline > 0.0,
-        };
-        monotone_safe && !policy.threshold.is_met(baseline, current)
+        let (baseline, current) = baseline_and_current(
+            [start_hist.0, start_anal.0, end_anal.1, end_series.1],
+            e_len,
+        );
+        policy.threshold.refuted_by(baseline - g, current + g)
     }
 
     /// Returns a [`Prepared::Scan`]'s window buffer to the series state and
@@ -1038,6 +1006,23 @@ mod tests {
         SeriesId::new("svc", MetricKind::GCpu, name)
     }
 
+    /// One whole round, serially: prologue, every populated shard's
+    /// ingest, epilogue.
+    fn begin_round(
+        engine: &mut StreamingEngine,
+        store: &TsdbStore,
+        ids: &[&SeriesId],
+        now: Timestamp,
+    ) {
+        engine.round_prologue(now);
+        for (idx, shard_ids) in partition(engine, ids).iter().enumerate() {
+            if !shard_ids.is_empty() {
+                engine.ingest_shard(store, idx, shard_ids, now);
+            }
+        }
+        engine.finish_round();
+    }
+
     fn fill(store: &TsdbStore, id: &SeriesId, upto: u64) {
         for t in 0..upto {
             store.append(id, t, t as f64).unwrap();
@@ -1051,7 +1036,7 @@ mod tests {
         fill(&store, &id, 200);
         let mut engine = StreamingEngine::new(cfg());
         let ids = [&id];
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         let windows = match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Scan { windows, token } => {
                 let reference = store.windows(&id, &cfg(), 200).unwrap();
@@ -1073,7 +1058,7 @@ mod tests {
         // Appends beyond the watermark do not move any partition: Level A.
         store.append(&id, 200, 1.0).unwrap();
         store.append(&id, 205, 2.0).unwrap();
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Reuse(CachedScan::Ok { short, long, .. }) => {
                 assert!(short.is_none() && long.is_none());
@@ -1095,7 +1080,7 @@ mod tests {
         fill(&store, &id, 200);
         let mut engine = StreamingEngine::new(cfg());
         let ids = [&id];
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Scan { token, windows } => {
                 engine.complete(
@@ -1116,7 +1101,7 @@ mod tests {
         for t in 200..230 {
             store.append(&id, t, t as f64).unwrap();
         }
-        engine.begin_round(&store, &ids, 230);
+        begin_round(&mut engine, &store, &ids, 230);
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Scan { windows, token } => {
                 assert_eq!(windows, store.windows(&id, &cfg(), 230).unwrap());
@@ -1133,7 +1118,7 @@ mod tests {
         fill(&store, &id, 200);
         let mut engine = StreamingEngine::new(cfg());
         let ids = [&id];
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Scan { token, windows } => engine.complete(
                 &id,
@@ -1153,7 +1138,7 @@ mod tests {
         // beyond the last point so all regions slide over empty space.
         // With data up to t=199 and now=201, the extended region boundary
         // indices shift relative to now=200 only if points straddle them.
-        engine.begin_round(&store, &ids, 201);
+        begin_round(&mut engine, &store, &ids, 201);
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Reuse(CachedScan::Ok { short, long, .. }) => {
                 assert!(short.is_none() && long.is_none());
@@ -1185,7 +1170,7 @@ mod tests {
         }
         let mut engine = StreamingEngine::new(cfg());
         let ids = [&empty, &nans];
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         match engine.prepare(&empty, 0.5, 0.5) {
             Prepared::Reuse(CachedScan::NoData(msg)) => {
                 let store_err = store.windows(&empty, &cfg(), 200).unwrap_err();
@@ -1202,7 +1187,7 @@ mod tests {
         }
         assert_eq!(engine.stats().gated, 2);
         // Gate outcomes are themselves Level-A reusable.
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         assert!(matches!(
             engine.prepare(&nans, 0.5, 0.5),
             Prepared::Reuse(CachedScan::BadData(_))
@@ -1217,7 +1202,7 @@ mod tests {
         fill(&store, &id, 200);
         let mut engine = StreamingEngine::new(cfg());
         let ids = [&id];
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         assert!(matches!(
             engine.prepare(&id, 0.5, 0.5),
             Prepared::Scan { .. }
@@ -1226,7 +1211,7 @@ mod tests {
         // and serves windows identical to the store path.
         let replacement = fbd_tsdb::TimeSeries::from_values(0, 1, &[3.5; 210]);
         store.insert_series(id.clone(), replacement);
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         assert_eq!(engine.stats().resets, 2); // first observation + replacement
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Scan { windows, .. } => {
@@ -1243,7 +1228,7 @@ mod tests {
         fill(&store, &id, 200);
         let mut engine = StreamingEngine::new(cfg());
         let ids = [&id];
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Scan { windows, .. } => {
                 let mut reference = store.windows(&id, &cfg(), 200).unwrap();
@@ -1264,12 +1249,12 @@ mod tests {
         fill(&store, &kept, 200);
         fill(&store, &stale, 200);
         let mut engine = StreamingEngine::new(cfg());
-        engine.begin_round(&store, &[&kept, &stale], 200);
+        begin_round(&mut engine, &store, &[&kept, &stale], 200);
         assert_eq!(engine.stats().tracked, 2);
         // A state survives the eviction sweep until a full stale period has
         // elapsed since its last sighting, so run through two sweeps.
         for _ in 0..2 * STALE_ROUNDS {
-            engine.begin_round(&store, &[&kept], 200);
+            begin_round(&mut engine, &store, &[&kept], 200);
         }
         assert_eq!(engine.stats().tracked, 1);
         assert!(matches!(
@@ -1302,7 +1287,7 @@ mod tests {
         let id = sid("quiet");
         fill_flat(&store, &id, 200);
         let mut engine = StreamingEngine::new(cfg()).with_online_policy(policy());
-        engine.begin_round(&store, &[&id], 200);
+        begin_round(&mut engine, &store, &[&id], 200);
         match engine.prepare(&id, 0.5, 0.5) {
             Prepared::Reuse(CachedScan::Ok {
                 short,
@@ -1319,7 +1304,7 @@ mod tests {
         assert_eq!(stats.online_fallbacks, 0);
         assert_eq!(stats.scanned, 0);
         // The online outcome is itself Level-A reusable next round.
-        engine.begin_round(&store, &[&id], 200);
+        begin_round(&mut engine, &store, &[&id], 200);
         assert!(matches!(
             engine.prepare(&id, 0.5, 0.5),
             Prepared::Reuse(CachedScan::Ok { .. })
@@ -1336,7 +1321,7 @@ mod tests {
             store.append(&id, t, v).unwrap();
         }
         let mut engine = StreamingEngine::new(cfg()).with_online_policy(policy());
-        engine.begin_round(&store, &[&id], 200);
+        begin_round(&mut engine, &store, &[&id], 200);
         // The step at t=160 sits inside the analysis window [125, 175):
         // the LRT bound cannot refute it, so Level C must fall through to
         // a full scan with windows identical to the store path.
@@ -1367,7 +1352,7 @@ mod tests {
         let mut engine = StreamingEngine::new(cfg()).with_online_policy(policy());
         let mut ids: Vec<&SeriesId> = vec![&kept];
         ids.extend(orphans.iter());
-        engine.begin_round(&store, &ids, 200);
+        begin_round(&mut engine, &store, &ids, 200);
         for id in &ids {
             // Quiet series: every one advances online, arming full state.
             assert!(matches!(engine.prepare(id, 0.5, 0.5), Prepared::Reuse(_)));
@@ -1379,7 +1364,7 @@ mod tests {
         // Only `kept` stays in the scan set; two sweep periods retire the
         // rest.
         for _ in 0..2 * STALE_ROUNDS {
-            engine.begin_round(&store, &[&kept], 200);
+            begin_round(&mut engine, &store, &[&kept], 200);
         }
         let after = engine.stats();
         assert_eq!(after.tracked, 1);
@@ -1414,10 +1399,11 @@ mod tests {
         let refs: Vec<&SeriesId> = ids.iter().collect();
         let mut serial = StreamingEngine::new(cfg());
         let mut sharded = StreamingEngine::new(cfg());
-        serial.begin_round(&store, &refs, 200);
-        // Drive the same round through the split per-shard API.
+        begin_round(&mut serial, &store, &refs, 200);
+        // The shard-stealing driver ingests shards in whatever order its
+        // workers reach them: the reverse order must build the same states.
         sharded.round_prologue(200);
-        for (idx, shard_ids) in partition(&sharded, &refs).iter().enumerate() {
+        for (idx, shard_ids) in partition(&sharded, &refs).iter().enumerate().rev() {
             if !shard_ids.is_empty() {
                 sharded.ingest_shard(&store, idx, shard_ids, 200);
             }

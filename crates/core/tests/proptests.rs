@@ -25,6 +25,23 @@ fn config(threshold: f64) -> DetectorConfig {
     )
 }
 
+/// One whole streaming round, serially: prologue, every populated shard's
+/// delta ingest, epilogue.
+fn begin_round(engine: &mut StreamingEngine, store: &TsdbStore, ids: &[&SeriesId], now: u64) {
+    engine.round_prologue(now);
+    for shard in 0..engine.shard_count() {
+        let shard_ids: Vec<&SeriesId> = ids
+            .iter()
+            .copied()
+            .filter(|id| TsdbStore::shard_of(id) == shard)
+            .collect();
+        if !shard_ids.is_empty() {
+            engine.ingest_shard(store, shard, &shard_ids, now);
+        }
+    }
+    engine.finish_round();
+}
+
 fn noisy_series(len: usize, base: f64, noise: f64, seed: u64) -> Vec<f64> {
     (0..len)
         .map(|i| {
@@ -606,7 +623,7 @@ proptest! {
             // Quantized watermark: rounds re-observe the same `now` until
             // the frontier crosses the next rerun boundary.
             let now = (frontier / wcfg.rerun_interval) * wcfg.rerun_interval;
-            engine.begin_round(&store, &id_refs, now);
+            begin_round(&mut engine, &store, &id_refs, now);
             for id in &ids {
                 match engine.prepare(id, 0.0, 0.0) {
                     fbdetect_core::scan_state::Prepared::Scan { windows, token } => {

@@ -26,7 +26,7 @@
 //! lives until its block closes or `drop(g)`; a chained temporary
 //! (`x.lock().field`) lives until the `;` that ends its statement. Receiver
 //! identifiers are resolved per line, which is why every supervised lock
-//! site names its receiver after the manifest entry (`shard`, `slot`,
+//! site names its receiver after the manifest entry (`shard`, `inner`,
 //! `engine`, ...).
 
 use super::{token_starts, Rule, Sink};
@@ -514,7 +514,7 @@ sees the same hierarchy.\n\
 Fix pattern: acquire in ascending rank order (restructure so the lower-ranked \
 guard is dropped first, or re-rank the domains in LOCK_ORDER.manifest and \
 `fbd_sync::LockDomain` together); name lock receivers after their manifest \
-entry (`shard`, `slot`, `engine`, ...); wrap new locks in \
+entry (`shard`, `inner`, `engine`, ...); wrap new locks in \
 `fbd_sync::OrderedMutex::new(LockDomain::X, value)` and declare the domain in \
 the manifest."
     }
@@ -608,7 +608,7 @@ mod tests {
     #[test]
     fn embedded_manifest_parses_with_all_domains() {
         let m = LockManifest::parse(MANIFEST_SRC).expect("checked-in manifest must parse");
-        assert_eq!(m.domains.len(), 7);
+        assert_eq!(m.domains.len(), 6);
         assert!(m.covers_crate("fbdetect-core"));
         assert!(m.covers_crate("fbd-tsdb"));
         assert!(m.covers_crate("fbd-ingest"));

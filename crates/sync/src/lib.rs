@@ -3,11 +3,11 @@
 //!
 //! Every supervised lock in the workspace (tsdb store shards, streaming
 //! engine shards, the scan cache, the ingest engine/quarantine/progress
-//! mutexes, snapshot handoff slots) is an [`OrderedMutex`] or
-//! [`OrderedRwLock`] carrying a [`LockDomain`] rank. The rule the ranks
-//! encode is simple: **a thread may only acquire a lock whose rank is
-//! strictly greater than every rank it already holds.** Acquisitions that
-//! honor the rule cannot participate in a lock-order deadlock cycle.
+//! mutexes) is an [`OrderedMutex`] or [`OrderedRwLock`] carrying a
+//! [`LockDomain`] rank. The rule the ranks encode is simple: **a thread
+//! may only acquire a lock whose rank is strictly greater than every rank
+//! it already holds.** Acquisitions that honor the rule cannot participate
+//! in a lock-order deadlock cycle.
 //!
 //! Enforcement is two-layered and shares this one source of truth:
 //!
@@ -50,11 +50,6 @@ pub enum LockDomain {
     /// fbd-ingest: the shared quarantine registry fed by quota and
     /// NaN-burst violations.
     Quarantine = 20,
-    /// fbdetect-core: per-series snapshot handoff slots in the
-    /// non-streaming parallel detection driver. Ranked below the store
-    /// shards so a drained slot's statement may fall back to
-    /// `TsdbStore::windows`.
-    SnapshotSlot = 25,
     /// fbdetect-core: `StreamingEngine` per-shard state. Held across
     /// `TsdbStore::snapshot_deltas` by the shard-per-core round driver,
     /// hence strictly below [`LockDomain::StoreShard`].
@@ -70,10 +65,9 @@ pub enum LockDomain {
 
 impl LockDomain {
     /// Every domain, in ascending rank order.
-    pub const ALL: [LockDomain; 7] = [
+    pub const ALL: [LockDomain; 6] = [
         LockDomain::IngestEngine,
         LockDomain::Quarantine,
-        LockDomain::SnapshotSlot,
         LockDomain::EngineShard,
         LockDomain::StoreShard,
         LockDomain::ScanCache,
@@ -90,7 +84,6 @@ impl LockDomain {
         match self {
             LockDomain::IngestEngine => "ingest-engine",
             LockDomain::Quarantine => "quarantine",
-            LockDomain::SnapshotSlot => "snapshot-slot",
             LockDomain::EngineShard => "engine-shard",
             LockDomain::StoreShard => "store-shard",
             LockDomain::ScanCache => "scan-cache",

@@ -23,7 +23,7 @@ pub mod window;
 pub use block::{BlockBuilder, SealedBlock};
 pub use error::TsdbError;
 pub use scratch::ScratchPoints;
-pub use series::{SummaryBounds, TimeSeries};
+pub use series::TimeSeries;
 pub use store::{
     BatchAppendOutcome, SeriesDelta, SeriesVersion, ShardStats, StoreConfig, StoreStats, TsdbStore,
 };

@@ -20,33 +20,8 @@ use fbd_stats::scratch::ScratchVec;
 
 use crate::block::{BlockSummary, SealedBlock, SUMMARY_BYTES};
 use crate::types::{DataPoint, Timestamp};
+use crate::window::points_in;
 use crate::{Result, TsdbError};
-
-/// Zero-decode bounds over a `[start, end)` range of a series, computed by
-/// [`TimeSeries::summary_bounds`] from seal-time block summaries plus the
-/// uncompressed head. Block-derived figures cover every *overlapping* block
-/// whole, so they are conservative: value bounds are outer bounds and
-/// counts are upper bounds for the requested range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SummaryBounds {
-    /// Upper bound on the number of stored points in the range (exact for
-    /// the head portion and for blocks fully inside the range).
-    pub count_max: usize,
-    /// Lower bound on the minimum finite value (`+∞` when none covered).
-    pub min: f64,
-    /// Upper bound on the maximum finite value (`−∞` when none covered).
-    pub max: f64,
-    /// Upper bound on the number of non-finite samples in the range.
-    pub nan_count_max: usize,
-    /// Smallest positive consecutive-timestamp gap observed within any
-    /// overlapping block or the head slice (0 when unknown). Gaps that
-    /// straddle block boundaries are not represented, so this is an upper
-    /// bound on the series' true minimum gap — still a valid cadence
-    /// estimate for coverage math, which only widens under a larger gap.
-    pub min_gap: Timestamp,
-    /// Number of sealed blocks a decode of the same range would touch.
-    pub blocks: usize,
-}
 
 /// An append-only, timestamp-ordered series of samples.
 ///
@@ -315,19 +290,27 @@ impl TimeSeries {
         out
     }
 
+    /// The sealed blocks a `[start, end)` read decodes — the one statement
+    /// of the block-run rule. Sealed blocks are never empty and sit in
+    /// timestamp order, so the blocks holding any point of the range form
+    /// one contiguous run: it starts at the first block whose last point
+    /// reaches `start` and stops before the first block that begins at or
+    /// past `end`. Equal timestamps may straddle a block boundary; both
+    /// comparisons are on the side that keeps such a block in.
+    pub(crate) fn range_blocks(&self, start: Timestamp, end: Timestamp) -> &[SealedBlock] {
+        if start >= end {
+            return &[];
+        }
+        let lo = self.sealed.partition_point(|b| b.last_timestamp() < start);
+        let hi = lo + self.sealed[lo..].partition_point(|b| b.first_timestamp() < end);
+        &self.sealed[lo..hi]
+    }
+
     /// Appends the points with timestamps in `[start, end)` to `out`,
     /// decoding only the sealed blocks that overlap the range.
+    // fbd-lint::hot
     pub fn range_into(&self, start: Timestamp, end: Timestamp, out: &mut Vec<DataPoint>) {
-        if start >= end {
-            return;
-        }
-        for block in &self.sealed {
-            if block.last_timestamp() < start || block.is_empty() {
-                continue;
-            }
-            if block.first_timestamp() >= end {
-                break;
-            }
+        for block in self.range_blocks(start, end) {
             if block.first_timestamp() >= start && block.last_timestamp() < end {
                 // Fully inside the range: bulk-decode.
                 block.decode_into(out);
@@ -340,33 +323,47 @@ impl TimeSeries {
                 );
             }
         }
-        let lo = self.head.partition_point(|p| p.timestamp < start);
-        let hi = self.head.partition_point(|p| p.timestamp < end);
-        out.extend_from_slice(&self.head[lo..hi]);
+        out.extend_from_slice(points_in(&self.head, start, end));
     }
 
-    /// The last `n` points (all points when `n >= len`), decoding only the
-    /// sealed blocks that overlap the tail — the head fast path is
-    /// allocation-exact for append-stride snapshot deltas.
-    pub fn tail_to_vec(&self, n: usize) -> Vec<DataPoint> {
-        let n = n.min(self.len());
-        if n <= self.head.len() {
-            return self.head[self.head.len() - n..].to_vec();
-        }
-        let needed = n - self.head.len();
+    /// The sealed blocks a tail-`n` read decodes, and how many of their
+    /// leading points precede the tail (always fewer than the first
+    /// block holds) — the one statement of the walk-back rule. Empty while
+    /// the head alone covers the tail.
+    pub(crate) fn tail_blocks(&self, n: usize) -> (&[SealedBlock], usize) {
+        let needed = n.min(self.len()).saturating_sub(self.head.len());
         let mut start_block = self.sealed.len();
         let mut covered = 0usize;
         while start_block > 0 && covered < needed {
             start_block -= 1;
             covered += self.sealed[start_block].count() as usize;
         }
-        let mut decoded = Vec::with_capacity(covered);
-        for block in &self.sealed[start_block..] {
-            block.decode_into(&mut decoded);
+        (&self.sealed[start_block..], covered - needed)
+    }
+
+    /// The head's share of a tail-`n` read: all of it once the tail
+    /// reaches into sealed blocks, else its last `n` points.
+    pub(crate) fn head_tail(&self, n: usize) -> &[DataPoint] {
+        &self.head[self.head.len().saturating_sub(n)..]
+    }
+
+    /// Appends the last `n` points (all points when `n >= len`) to `out`,
+    /// decoding only the sealed blocks that overlap the tail.
+    // fbd-lint::hot
+    fn tail_into(&self, n: usize, out: &mut Vec<DataPoint>) {
+        let (blocks, mut skip) = self.tail_blocks(n);
+        out.reserve(n.min(self.len()));
+        for block in blocks {
+            out.extend(block.iter().skip(skip));
+            skip = 0;
         }
-        let mut out = Vec::with_capacity(n);
-        out.extend_from_slice(&decoded[decoded.len() - needed..]);
-        out.extend_from_slice(&self.head);
+        out.extend_from_slice(self.head_tail(n));
+    }
+
+    /// The last `n` points (all points when `n >= len`) as a fresh vector.
+    pub fn tail_to_vec(&self, n: usize) -> Vec<DataPoint> {
+        let mut out = Vec::new();
+        self.tail_into(n, &mut out);
         out
     }
 
@@ -374,34 +371,15 @@ impl TimeSeries {
     /// buffer — the allocation-free variant for the per-round
     /// snapshot-delta path, where a fresh tail copy per series per round
     /// would put the global allocator on the scan loop.
-    // fbd-lint::hot
     pub fn tail_scratch(&self, n: usize) -> ScratchPoints {
-        let n = n.min(self.len());
-        let mut out = ScratchPoints::with_capacity(n);
-        if n <= self.head.len() {
-            out.extend_from_slice(&self.head[self.head.len() - n..]);
-            return out;
-        }
-        let needed = n - self.head.len();
-        let mut start_block = self.sealed.len();
-        let mut covered = 0usize;
-        while start_block > 0 && covered < needed {
-            start_block -= 1;
-            covered += self.sealed[start_block].count() as usize;
-        }
-        let mut decoded = ScratchPoints::with_capacity(covered);
-        for block in &self.sealed[start_block..] {
-            block.decode_into(&mut decoded);
-        }
-        out.extend_from_slice(&decoded[decoded.len() - needed..]);
-        out.extend_from_slice(&self.head);
+        let mut out = ScratchPoints::with_capacity(0);
+        self.tail_into(n, &mut out);
         out
     }
 
     /// [`TimeSeries::range_to_vec`] into a recycled [`ScratchPoints`]
     /// buffer — the allocation-free variant for reset copies on the
     /// snapshot-delta path.
-    // fbd-lint::hot
     pub fn range_scratch(&self, start: Timestamp, end: Timestamp) -> ScratchPoints {
         let mut out = ScratchPoints::with_capacity(0);
         self.range_into(start, end, &mut out);
@@ -447,98 +425,16 @@ impl TimeSeries {
         &self.head
     }
 
-    /// Number of sealed blocks a `[start, end)` range read decodes —
-    /// answered from summaries alone, mirroring [`TimeSeries::range_into`]'s
-    /// skip/break rules exactly.
+    /// Number of sealed blocks a `[start, end)` range read decodes,
+    /// answered from summaries alone.
     pub fn overlapping_block_count(&self, start: Timestamp, end: Timestamp) -> u64 {
-        if start >= end {
-            return 0;
-        }
-        let mut n = 0;
-        for block in &self.sealed {
-            if block.last_timestamp() < start || block.is_empty() {
-                continue;
-            }
-            if block.first_timestamp() >= end {
-                break;
-            }
-            n += 1;
-        }
-        n
+        self.range_blocks(start, end).len() as u64
     }
 
     /// Number of sealed blocks a tail-`n` read decodes — zero while the
-    /// head still covers the tail, mirroring [`TimeSeries::tail_scratch`]'s
-    /// walk-back exactly.
+    /// head still covers the tail.
     pub fn tail_block_count(&self, n: usize) -> u64 {
-        let n = n.min(self.len());
-        if n <= self.head.len() {
-            return 0;
-        }
-        let needed = n - self.head.len();
-        let mut start_block = self.sealed.len();
-        let mut covered = 0usize;
-        while start_block > 0 && covered < needed {
-            start_block -= 1;
-            covered += self.sealed[start_block].count() as usize;
-        }
-        (self.sealed.len() - start_block) as u64
-    }
-
-    /// Zero-decode bounds over `[start, end)`: seal-time summaries answer
-    /// for every overlapping sealed block (a superset of the range, so the
-    /// value bounds are outer bounds and the counts are upper bounds) and
-    /// an exact pass over the tiny uncompressed head tightens the rest.
-    /// This is what window-coverage estimates, the flat-series prefilter,
-    /// and Level C's `sliding_mean_bounds` inputs consume when the online
-    /// refuters clear a series without decoding it.
-    pub fn summary_bounds(&self, start: Timestamp, end: Timestamp) -> SummaryBounds {
-        let mut b = SummaryBounds {
-            count_max: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            nan_count_max: 0,
-            min_gap: 0,
-            blocks: 0,
-        };
-        if start >= end {
-            return b;
-        }
-        fn fold_gap(min_gap: &mut Timestamp, gap: Timestamp) {
-            if gap > 0 && (*min_gap == 0 || gap < *min_gap) {
-                *min_gap = gap;
-            }
-        }
-        for block in &self.sealed {
-            if block.last_timestamp() < start || block.is_empty() {
-                continue;
-            }
-            if block.first_timestamp() >= end {
-                break;
-            }
-            let s = block.summary();
-            b.blocks += 1;
-            b.count_max += s.count as usize;
-            b.min = b.min.min(s.min);
-            b.max = b.max.max(s.max);
-            b.nan_count_max += s.nan_count as usize;
-            fold_gap(&mut b.min_gap, s.min_gap);
-        }
-        let lo = self.head.partition_point(|p| p.timestamp < start);
-        let hi = self.head.partition_point(|p| p.timestamp < end);
-        for w in self.head[lo..hi].windows(2) {
-            fold_gap(&mut b.min_gap, w[1].timestamp - w[0].timestamp);
-        }
-        for p in &self.head[lo..hi] {
-            b.count_max += 1;
-            if p.value.is_finite() {
-                b.min = b.min.min(p.value);
-                b.max = b.max.max(p.value);
-            } else {
-                b.nan_count_max += 1;
-            }
-        }
-        b
+        self.tail_blocks(n).0.len() as u64
     }
 
     /// Total compressed payload bytes across sealed blocks.
@@ -1002,42 +898,54 @@ mod tests {
     }
 
     #[test]
-    fn summary_bounds_are_conservative_outer_bounds() {
-        let mut s = TimeSeries::with_seal_limit(4);
-        let values = [1.0, 5.0, f64::NAN, -2.0, 3.0, 4.0, 0.5, 9.0, 7.0, 6.0];
-        for (i, v) in values.iter().enumerate() {
-            s.append(i as u64 * 60, *v).unwrap();
+    fn block_runs_match_brute_force_across_shared_boundary_timestamps() {
+        // Equal timestamps are legal appends, so adjacent blocks may share
+        // a boundary timestamp (and one timestamp may fill a whole block).
+        let mut s = TimeSeries::with_seal_limit(3);
+        let stamps = [0u64, 10, 10, 10, 10, 20, 20, 20, 20, 20, 30, 30, 40, 50];
+        for (i, &t) in stamps.iter().enumerate() {
+            s.append(t, i as f64).unwrap();
         }
-        // Blocks [0..180] and [240..420]; head [480, 540].
-        let full = s.summary_bounds(0, 1_000);
-        assert_eq!(full.blocks, 2);
-        assert_eq!(full.count_max, 10);
-        assert_eq!(full.nan_count_max, 1);
-        assert_eq!(full.min, -2.0);
-        assert_eq!(full.max, 9.0);
-        assert_eq!(full.min_gap, 60);
-        // A sub-range still charges every overlapping block whole: the
-        // bounds enclose the true decode of the same range.
-        let partial = s.summary_bounds(120, 300);
-        assert_eq!(partial.blocks, 2);
-        assert_eq!(partial.count_max, 8);
-        let decoded = s.range_to_vec(120, 300);
-        assert!(decoded.len() <= partial.count_max);
-        for p in &decoded {
-            if p.value.is_finite() {
-                assert!(p.value >= partial.min && p.value <= partial.max);
+        assert_eq!((s.sealed_block_count(), s.head_len()), (4, 2));
+        let all = s.points().into_owned();
+        let seqs = |blocks: &[SealedBlock]| blocks.iter().map(SealedBlock::seq).collect::<Vec<_>>();
+        for start in (0..=55).step_by(5) {
+            for end in (0..=55).step_by(5) {
+                // A block is read iff it is neither wholly before `start`
+                // nor wholly at or past `end`, judged on its decoded points.
+                let brute: Vec<u64> = s
+                    .sealed_blocks()
+                    .iter()
+                    .filter(|b| {
+                        let pts = b.to_points();
+                        start < end
+                            && pts.iter().any(|p| p.timestamp >= start)
+                            && pts.iter().any(|p| p.timestamp < end)
+                    })
+                    .map(SealedBlock::seq)
+                    .collect();
+                assert_eq!(seqs(s.range_blocks(start, end)), brute, "[{start}, {end})");
+                let expected: Vec<DataPoint> = all
+                    .iter()
+                    .filter(|p| p.timestamp >= start && p.timestamp < end)
+                    .copied()
+                    .collect();
+                assert_eq!(s.range_to_vec(start, end), expected, "[{start}, {end})");
             }
         }
-        // Head-only range is exact.
-        let head = s.summary_bounds(480, 1_000);
-        assert_eq!(head.blocks, 0);
-        assert_eq!((head.count_max, head.nan_count_max), (2, 0));
-        assert_eq!((head.min, head.max), (6.0, 7.0));
-        assert_eq!(head.min_gap, 60);
-        // Inverted range is empty with sentinels intact.
-        let empty = s.summary_bounds(500, 100);
-        assert_eq!(empty.count_max, 0);
-        assert!(empty.min.is_infinite() && empty.max.is_infinite());
+        for n in 0..=stamps.len() + 2 {
+            let want = &all[all.len() - n.min(all.len())..];
+            assert_eq!(s.tail_to_vec(n), want, "tail {n}");
+            // The run is the shortest block suffix covering the tail's
+            // sealed share; `skip` is what that suffix holds in excess.
+            let sealed_share = want.len().saturating_sub(s.head_len());
+            let (blocks, skip) = s.tail_blocks(n);
+            let held: usize = blocks.iter().map(|b| b.count() as usize).sum();
+            assert_eq!(held, sealed_share + skip, "tail {n}");
+            assert!(blocks.first().map_or(skip == 0, |b| skip < b.count() as usize), "tail {n}");
+            let first = s.sealed_block_count() - blocks.len();
+            assert_eq!(seqs(blocks), seqs(&s.sealed_blocks()[first..]), "tail {n}");
+        }
     }
 
     #[test]

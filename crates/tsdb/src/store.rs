@@ -2,10 +2,10 @@
 
 use crate::block::SealedBlock;
 use crate::scratch::ScratchPoints;
-use crate::series::{SummaryBounds, TimeSeries};
+use crate::series::TimeSeries;
 use crate::types::{DataPoint, SeriesId, Timestamp};
 use crate::window::{
-    extract_windows, snapshot_bounds, windows_from_points, WindowConfig, WindowedData,
+    points_in, snapshot_bounds, windows_from_points, WindowConfig, WindowedData,
 };
 use crate::{Result, TsdbError};
 use fbd_sync::{LockDomain, OrderedRwLock};
@@ -84,9 +84,9 @@ pub struct StoreConfig {
     pub shard_budget_bytes: Option<usize>,
     /// Per-shard byte budget for the decoded-block cache (16 bytes per
     /// cached point); 0 disables caching entirely. The cache serves repeat
-    /// decodes on the read paths that revisit the same sealed blocks —
-    /// per-series window extraction and delta-snapshot tail/reset copies —
-    /// and is accounted separately from `shard_budget_bytes`
+    /// decodes on every read path that revisits the same sealed blocks —
+    /// window extraction, batch snapshots and delta-snapshot tail/reset
+    /// copies — and is accounted separately from `shard_budget_bytes`
     /// (`ShardStats::decode_cache_bytes`): it is a read accelerator, not
     /// stored data, and evicting it never loses points.
     pub decode_cache_bytes: usize,
@@ -130,8 +130,8 @@ pub struct ShardStats {
     /// Total points across those series.
     pub points: usize,
     /// Resident bytes under the accounting model of
-    /// [`TimeSeries::resident_bytes`]: 16 bytes per head point plus
-    /// compressed payload bytes.
+    /// [`TimeSeries::resident_bytes`]: 16 bytes per head point, compressed
+    /// payload bytes, and `SUMMARY_BYTES` per sealed block.
     pub resident_bytes: usize,
     /// Compressed payload bytes (subset of `resident_bytes`).
     pub sealed_bytes: usize,
@@ -160,9 +160,9 @@ pub struct ShardStats {
 pub struct StoreStats {
     /// Per-shard breakdown, indexed by shard number.
     pub shards: Vec<ShardStats>,
-    /// Sealed blocks decoded on read paths that bypass the decode cache
-    /// (batch snapshots, and all reads when the cache is disabled),
-    /// counted from summaries without touching the payloads.
+    /// Sealed blocks decoded without the decode cache — every window and
+    /// snapshot read of a store whose cache is disabled, and none
+    /// otherwise — counted from summaries without touching the payloads.
     pub direct_blocks_decoded: u64,
 }
 
@@ -323,48 +323,29 @@ impl DecodeCache {
 
 /// Appends the last `n` points of `series` to a fresh scratch buffer via
 /// the decode cache — bit-identical to [`TimeSeries::tail_scratch`], which
-/// decodes the same walk-back block run directly.
+/// decodes the same [`TimeSeries::tail_blocks`] run directly.
 fn tail_via_cache(
     series: &TimeSeries,
     decode: &mut DecodeCache,
     budget: usize,
     n: usize,
 ) -> ScratchPoints {
-    let n = n.min(series.len());
-    let head = series.head();
-    let mut out = ScratchPoints::with_capacity(n);
-    if n <= head.len() {
-        out.extend_from_slice(&head[head.len() - n..]);
-        return out;
-    }
-    let needed = n - head.len();
-    let sealed = series.sealed_blocks();
-    let mut start_block = sealed.len();
-    let mut covered = 0usize;
-    while start_block > 0 && covered < needed {
-        start_block -= 1;
-        covered += sealed[start_block].count() as usize;
-    }
-    // The first `covered - needed` decoded points precede the tail.
-    let mut skip = covered - needed;
-    for block in &sealed[start_block..] {
+    let (blocks, mut skip) = series.tail_blocks(n);
+    let mut out = ScratchPoints::with_capacity(n.min(series.len()));
+    for block in blocks {
         let decoded = decode.block_points(block, budget);
-        if skip >= decoded.len() {
-            skip -= decoded.len();
-            continue;
-        }
-        out.extend_from_slice(&decoded[skip..]);
+        out.extend_from_slice(&decoded[skip.min(decoded.len())..]);
         skip = 0;
     }
-    out.extend_from_slice(head);
+    out.extend_from_slice(series.head_tail(n));
     out
 }
 
 /// Appends the points of `series` in `[start, end)` to a fresh scratch
 /// buffer via the decode cache — bit-identical to
-/// [`TimeSeries::range_into`]: same block skip/break rules, and slicing a
-/// sorted decoded block by `partition_point` selects exactly the points
-/// its `skip_while`/`take_while` straddler walk would.
+/// [`TimeSeries::range_into`]: same [`TimeSeries::range_blocks`] run, and
+/// slicing a sorted decoded block by `partition_point` selects exactly the
+/// points its `skip_while`/`take_while` straddler walk would.
 fn range_via_cache(
     series: &TimeSeries,
     decode: &mut DecodeCache,
@@ -372,40 +353,67 @@ fn range_via_cache(
     start: Timestamp,
     end: Timestamp,
 ) -> ScratchPoints {
-    let mut out = ScratchPoints::with_capacity(0);
-    if start >= end {
-        return out;
+    let blocks = series.range_blocks(start, end);
+    let head = points_in(series.head(), start, end);
+    let sealed: usize = blocks.iter().map(|b| b.count() as usize).sum();
+    let mut out = ScratchPoints::with_capacity(sealed + head.len());
+    for block in blocks {
+        out.extend_from_slice(points_in(decode.block_points(block, budget), start, end));
     }
-    for block in series.sealed_blocks() {
-        if block.last_timestamp() < start || block.is_empty() {
-            continue;
-        }
-        if block.first_timestamp() >= end {
-            break;
-        }
-        let decoded = decode.block_points(block, budget);
-        let lo = decoded.partition_point(|p| p.timestamp < start);
-        let hi = decoded.partition_point(|p| p.timestamp < end);
-        out.extend_from_slice(&decoded[lo..hi]);
-    }
-    let head = series.head();
-    let lo = head.partition_point(|p| p.timestamp < start);
-    let hi = head.partition_point(|p| p.timestamp < end);
-    out.extend_from_slice(&head[lo..hi]);
+    out.extend_from_slice(head);
     out
+}
+
+/// How a shard read turns sealed blocks into points. Only
+/// [`TsdbStore::read_shard`] builds one, so the choice between the two
+/// modes is made in one place; the points copied out are bit-identical in
+/// both.
+enum BlockReads<'a> {
+    /// Through the shard's decode cache (the shard is write-locked).
+    Cached {
+        decode: &'a mut DecodeCache,
+        budget: usize,
+    },
+    /// Decoded directly and tallied into
+    /// [`StoreStats::direct_blocks_decoded`] from summaries, so the tally
+    /// itself never decodes (the shard is read-locked).
+    Direct { decoded: &'a AtomicU64 },
+}
+
+impl BlockReads<'_> {
+    /// The points of `series` in `[start, end)`.
+    fn range(&mut self, series: &TimeSeries, start: Timestamp, end: Timestamp) -> ScratchPoints {
+        match self {
+            BlockReads::Cached { decode, budget } => {
+                range_via_cache(series, decode, *budget, start, end)
+            }
+            BlockReads::Direct { decoded } => {
+                decoded.fetch_add(series.overlapping_block_count(start, end), Ordering::Relaxed);
+                series.range_scratch(start, end)
+            }
+        }
+    }
+
+    /// The last `n` points of `series`.
+    fn tail(&mut self, series: &TimeSeries, n: usize) -> ScratchPoints {
+        match self {
+            BlockReads::Cached { decode, budget } => tail_via_cache(series, decode, *budget, n),
+            BlockReads::Direct { decoded } => {
+                decoded.fetch_add(series.tail_block_count(n), Ordering::Relaxed);
+                series.tail_scratch(n)
+            }
+        }
+    }
 }
 
 /// Classifies one series against a previously observed version and copies
 /// the minimal point set — the per-series body of
-/// [`TsdbStore::snapshot_deltas`]. Sealed-block decodes route through the
-/// shard's cache when one is passed; otherwise they are counted (from
-/// summaries, without decoding anything extra) into `direct`.
+/// [`TsdbStore::snapshot_deltas`].
 fn classify_delta(
     series: &TimeSeries,
     known: Option<SeriesVersion>,
     start: Timestamp,
-    mut cache: Option<(&mut DecodeCache, usize)>,
-    direct: &mut u64,
+    reads: &mut BlockReads<'_>,
 ) -> SeriesDelta {
     let current = SeriesVersion {
         version: series.version(),
@@ -421,30 +429,15 @@ fn classify_delta(
                 && current.appended.wrapping_sub(k.appended) <= series.len() as u64 =>
         {
             let new = current.appended.wrapping_sub(k.appended) as usize;
-            let tail = match cache.as_mut() {
-                Some((decode, budget)) => tail_via_cache(series, decode, *budget, new),
-                None => {
-                    *direct += series.tail_block_count(new);
-                    series.tail_scratch(new)
-                }
-            };
-            SeriesDelta::Appended { version: current, tail }
-        }
-        _ => {
-            let points = match cache.as_mut() {
-                Some((decode, budget)) => {
-                    range_via_cache(series, decode, *budget, start, Timestamp::MAX)
-                }
-                None => {
-                    *direct += series.overlapping_block_count(start, Timestamp::MAX);
-                    series.range_scratch(start, Timestamp::MAX)
-                }
-            };
-            SeriesDelta::Reset {
+            SeriesDelta::Appended {
                 version: current,
-                points,
+                tail: reads.tail(series, new),
             }
         }
+        _ => SeriesDelta::Reset {
+            version: current,
+            points: reads.range(series, start, Timestamp::MAX),
+        },
     }
 }
 
@@ -482,9 +475,7 @@ pub struct TsdbStore {
     /// way around.
     shards: Vec<OrderedRwLock<Shard>>,
     config: StoreConfig,
-    /// Sealed blocks decoded by read paths that bypass the decode cache —
-    /// counted from summaries ([`TimeSeries::overlapping_block_count`] /
-    /// [`TimeSeries::tail_block_count`]) so the tally itself never decodes.
+    /// Backs [`StoreStats::direct_blocks_decoded`].
     direct_blocks_decoded: AtomicU64,
 }
 
@@ -521,11 +512,6 @@ impl TsdbStore {
     /// Creates a store wrapped in an [`Arc`] for sharing across threads.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
-    }
-
-    /// Creates a shared store with an explicit storage policy.
-    pub fn shared_with_config(config: StoreConfig) -> Arc<Self> {
-        Arc::new(Self::with_config(config))
     }
 
     /// The storage policy this store was created with.
@@ -623,10 +609,7 @@ impl TsdbStore {
     /// [`BatchAppendOutcome::rejected`] with its index into `points`.
     pub fn append_batch(&self, points: &[(SeriesId, Timestamp, f64)]) -> BatchAppendOutcome {
         let mut outcome = BatchAppendOutcome::default();
-        let mut by_shard: Vec<Vec<usize>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        for (i, (id, _, _)) in points.iter().enumerate() {
-            by_shard[Self::shard_index(id)].push(i);
-        }
+        let by_shard = Self::group_by_shard(points.iter().map(|(id, _, _)| id));
         for (shard, indices) in self.shards.iter().zip(&by_shard) {
             if indices.is_empty() {
                 continue;
@@ -688,23 +671,6 @@ impl TsdbStore {
     /// Timestamp of the series' newest sample without cloning the series.
     pub fn last_timestamp(&self, id: &SeriesId) -> Result<Option<Timestamp>> {
         self.with_series(id, |s| s.last_timestamp())
-    }
-
-    /// Zero-decode probe of one series' scan range: conservative count,
-    /// value, NaN, and cadence bounds assembled from seal-time block
-    /// summaries plus the uncompressed head, under the shard read lock —
-    /// no payload is touched. The bounds enclose what a decode of
-    /// `snapshot_bounds(config, now)` would observe, so prefilters (flat
-    /// series, coverage floors, Level C's `sliding_mean_bounds` inputs)
-    /// can clear a series without waking the decoder.
-    pub fn summary_probe(
-        &self,
-        id: &SeriesId,
-        config: &WindowConfig,
-        now: Timestamp,
-    ) -> Result<SummaryBounds> {
-        let (start, end) = snapshot_bounds(config, now);
-        self.with_series(id, |s| s.summary_bounds(start, end))
     }
 
     /// Whether a series exists.
@@ -783,58 +749,65 @@ impl TsdbStore {
         }
     }
 
-    /// Extracts detection windows for one series at scan time `now`.
-    ///
-    /// With a decode cache configured, the scan range's sealed blocks are
-    /// served from (and retained in) the shard's cache under a short write
-    /// lock, so the overlapping windows of successive scans of one series
-    /// decode each block once; the result is bit-identical to the uncached
-    /// path. Batch scans should prefer [`TsdbStore::snapshot_windows`],
-    /// which stays on read locks.
+    /// Groups the positions of `ids` by the shard each id routes to.
+    fn group_by_shard<'a>(ids: impl Iterator<Item = &'a SeriesId>) -> Vec<Vec<usize>> {
+        let mut by_shard: Vec<Vec<usize>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
+        for (i, id) in ids.enumerate() {
+            by_shard[Self::shard_index(id)].push(i);
+        }
+        by_shard
+    }
+
+    /// Runs `f` over one shard's series for a window or snapshot read,
+    /// holding the shard's lock exactly once — the one place that decides
+    /// the lock mode. With a decode cache configured
+    /// (`decode_cache_bytes > 0`, which [`StoreConfig::compressed`] sets)
+    /// the lock is taken in **write** mode and sealed blocks are served
+    /// from, and retained in, the shard's cache, so overlapping windows and
+    /// later rounds decode each block once. Without one the lock is taken
+    /// in **read** mode and blocks are decoded directly and counted.
+    fn read_shard<R>(
+        &self,
+        shard: &OrderedRwLock<Shard>,
+        f: impl FnOnce(&BTreeMap<SeriesId, TimeSeries>, &mut BlockReads<'_>) -> R,
+    ) -> R {
+        let budget = self.config.decode_cache_bytes;
+        if budget > 0 {
+            let mut guard = shard.write();
+            let Shard { map, decode, .. } = &mut *guard;
+            f(map, &mut BlockReads::Cached { decode, budget })
+        } else {
+            let guard = shard.read();
+            let decoded = &self.direct_blocks_decoded;
+            f(&guard.map, &mut BlockReads::Direct { decoded })
+        }
+    }
+
+    /// Extracts detection windows for one series at scan time `now`: the
+    /// raw scan range is copied out under one [`TsdbStore::read_shard`]
+    /// lock hold and windowed after it is released.
     pub fn windows(
         &self,
         id: &SeriesId,
         config: &WindowConfig,
         now: Timestamp,
     ) -> Result<WindowedData> {
-        let budget = self.config.decode_cache_bytes;
-        if budget > 0 {
-            let (start, end) = snapshot_bounds(config, now);
-            let mut guard = self.shard(id).write();
-            let Shard { map, decode, .. } = &mut *guard;
-            let series = map
-                .get(id)
-                .ok_or_else(|| TsdbError::SeriesNotFound(id.metric_id()))?;
-            if series.sealed_block_count() == 0 {
-                return extract_windows(series, config, now);
-            }
-            let points = range_via_cache(series, decode, budget, start, end);
-            drop(guard);
-            return windows_from_points(&points, config, now);
-        }
-        let shard = self.shard(id).read();
-        let series = shard
-            .map
-            .get(id)
-            .ok_or_else(|| TsdbError::SeriesNotFound(id.metric_id()))?;
         let (start, end) = snapshot_bounds(config, now);
-        let decoded = series.overlapping_block_count(start, end);
-        if decoded > 0 {
-            self.direct_blocks_decoded.fetch_add(decoded, Ordering::Relaxed);
-        }
-        extract_windows(series, config, now)
+        let points = self.read_shard(self.shard(id), |map, reads| {
+            map.get(id).map(|series| reads.range(series, start, end))
+        });
+        let points = points.ok_or_else(|| TsdbError::SeriesNotFound(id.metric_id()))?;
+        windows_from_points(&points, config, now)
     }
 
     /// Extracts detection windows for a whole batch of series, holding each
-    /// shard's lock once and only long enough to copy the raw scan ranges
-    /// out — in read mode normally, in write mode when a decode cache is
-    /// configured, so a round's batch scan decodes each sealed block once
-    /// and serves repeat reads (later rounds, overlapping windows) from the
-    /// cache. All windowing work (boundary partitioning, cadence and
-    /// coverage estimation, buffer assembly) happens after the locks are
-    /// released, so detection workers consuming the result never contend
-    /// with writers. Per-entry results mirror [`TsdbStore::windows`] exactly,
-    /// including `SeriesNotFound` and `EmptyWindow` errors.
+    /// shard's lock once ([`TsdbStore::read_shard`]) and only long enough
+    /// to copy the raw scan ranges out. All windowing work (boundary
+    /// partitioning, cadence and coverage estimation, buffer assembly)
+    /// happens after that shard's lock is released, so detection workers
+    /// consuming the result never contend with writers. Per-entry results
+    /// mirror [`TsdbStore::windows`] exactly, including `SeriesNotFound`
+    /// and `EmptyWindow` errors.
     pub fn snapshot_windows(
         &self,
         ids: &[&SeriesId],
@@ -842,54 +815,32 @@ impl TsdbStore {
         now: Timestamp,
     ) -> Vec<Result<WindowedData>> {
         let (start, end) = snapshot_bounds(config, now);
-        let budget = self.config.decode_cache_bytes;
-        let mut copies: Vec<Option<Vec<DataPoint>>> = ids.iter().map(|_| None).collect();
-        let mut by_shard: Vec<Vec<usize>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            by_shard[Self::shard_index(id)].push(i);
-        }
-        let mut decoded = 0u64;
+        let mut windows: Vec<Option<Result<WindowedData>>> = ids.iter().map(|_| None).collect();
+        let by_shard = Self::group_by_shard(ids.iter().copied());
         for (shard, indices) in self.shards.iter().zip(&by_shard) {
             if indices.is_empty() {
                 continue;
             }
-            if budget > 0 {
-                let mut guard = shard.write();
-                let Shard { map, decode, .. } = &mut *guard;
-                for &i in indices {
-                    copies[i] = map
-                        .get(ids[i])
-                        .map(|series| range_via_cache(series, decode, budget, start, end).to_vec());
-                }
-            } else {
-                let shard = shard.read();
-                for &i in indices {
-                    copies[i] = shard.map.get(ids[i]).map(|series| {
-                        decoded += series.overlapping_block_count(start, end);
-                        series.range_to_vec(start, end)
-                    });
-                }
+            let copies: Vec<Option<ScratchPoints>> = self.read_shard(shard, |map, reads| {
+                indices
+                    .iter()
+                    .map(|&i| map.get(ids[i]).map(|series| reads.range(series, start, end)))
+                    .collect()
+            });
+            for (&i, copy) in indices.iter().zip(copies) {
+                windows[i] = copy.map(|points| windows_from_points(&points, config, now));
             }
         }
-        if decoded > 0 {
-            self.direct_blocks_decoded.fetch_add(decoded, Ordering::Relaxed);
-        }
         ids.iter()
-            .zip(copies)
-            .map(|(id, copy)| match copy {
-                None => Err(TsdbError::SeriesNotFound(id.metric_id())),
-                Some(points) => windows_from_points(&points, config, now),
-            })
+            .zip(windows)
+            .map(|(id, w)| w.unwrap_or_else(|| Err(TsdbError::SeriesNotFound(id.metric_id()))))
             .collect()
     }
 
     /// Captures what changed in a batch of series since previously observed
     /// versions, copying only appended tails for append-only mutations. Each
-    /// shard's lock is held once, for the duration of the raw point copies
-    /// only — in read mode normally, in write mode when a decode cache is
-    /// configured (tail copies that cross a fresh seal, and reset copies,
-    /// then serve repeat decodes of the same blocks from the cache; the
-    /// copied points are bit-identical either way).
+    /// shard's lock is held once ([`TsdbStore::read_shard`]), for the
+    /// duration of the raw point copies only.
     ///
     /// `known[i]` is the version of `ids[i]` from the caller's last
     /// observation (`None` for a first observation). Entries beyond
@@ -902,50 +853,21 @@ impl TsdbStore {
         now: Timestamp,
     ) -> Vec<SeriesDelta> {
         let (start, _) = snapshot_bounds(config, now);
-        let budget = self.config.decode_cache_bytes;
         let mut deltas: Vec<SeriesDelta> = ids.iter().map(|_| SeriesDelta::Missing).collect();
-        let mut by_shard: Vec<Vec<usize>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            by_shard[Self::shard_index(id)].push(i);
-        }
-        let mut direct = 0u64;
+        let by_shard = Self::group_by_shard(ids.iter().copied());
         for (shard, indices) in self.shards.iter().zip(&by_shard) {
             if indices.is_empty() {
                 continue;
             }
-            if budget > 0 {
-                let mut guard = shard.write();
-                let Shard { map, decode, .. } = &mut *guard;
+            self.read_shard(shard, |map, reads| {
                 for &i in indices {
-                    let Some(series) = map.get(ids[i]) else {
-                        continue; // Stays `Missing`.
-                    };
-                    deltas[i] = classify_delta(
-                        series,
-                        known.get(i).copied().flatten(),
-                        start,
-                        Some((&mut *decode, budget)),
-                        &mut direct,
-                    );
+                    // An absent series stays `Missing`.
+                    if let Some(series) = map.get(ids[i]) {
+                        deltas[i] =
+                            classify_delta(series, known.get(i).copied().flatten(), start, reads);
+                    }
                 }
-            } else {
-                let shard = shard.read();
-                for &i in indices {
-                    let Some(series) = shard.map.get(ids[i]) else {
-                        continue; // Stays `Missing`.
-                    };
-                    deltas[i] = classify_delta(
-                        series,
-                        known.get(i).copied().flatten(),
-                        start,
-                        None,
-                        &mut direct,
-                    );
-                }
-            }
-        }
-        if direct > 0 {
-            self.direct_blocks_decoded.fetch_add(direct, Ordering::Relaxed);
+            });
         }
         deltas
     }

@@ -255,7 +255,7 @@ fn estimate_cadence(points: &[DataPoint]) -> Option<u64> {
 }
 
 /// Sub-slice of a time-ordered point slice with timestamps in `[start, end)`.
-fn points_in(points: &[DataPoint], start: Timestamp, end: Timestamp) -> &[DataPoint] {
+pub(crate) fn points_in(points: &[DataPoint], start: Timestamp, end: Timestamp) -> &[DataPoint] {
     if start >= end {
         return &[];
     }

@@ -165,14 +165,21 @@ fn streaming_engine_does_not_change_fingerprint() {
 
 #[test]
 fn streaming_engine_is_thread_invariant() {
-    let (serial, _) = multi_round_fingerprint(true, 1);
-    let (parallel, reused) = multi_round_fingerprint(true, 8);
-    assert!(reused > 0, "streaming run never exercised the reuse path");
-    assert_eq!(
-        serial.as_bytes(),
-        parallel.as_bytes(),
-        "thread count changed the streaming fingerprint:\n--- 1 thread ---\n{serial}\n--- 8 threads ---\n{parallel}"
-    );
+    // Engine on and off are two modes of one shard-stealing driver; both
+    // must be blind to the worker count.
+    for streaming in [true, false] {
+        let (serial, _) = multi_round_fingerprint(streaming, 1);
+        let (parallel, reused) = multi_round_fingerprint(streaming, 8);
+        assert!(
+            !streaming || reused > 0,
+            "streaming run never exercised the reuse path"
+        );
+        assert_eq!(
+            serial.as_bytes(),
+            parallel.as_bytes(),
+            "thread count changed the fingerprint (streaming = {streaming}):\n--- 1 thread ---\n{serial}\n--- 8 threads ---\n{parallel}"
+        );
+    }
 }
 
 #[test]
