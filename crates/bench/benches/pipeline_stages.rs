@@ -177,19 +177,32 @@ fn bench_hot_path_sizes(c: &mut Criterion) {
 /// sizes the capacity argument leans on. Each fast kernel is benchmarked
 /// next to its reference twin so the complexity claims in DESIGN.md
 /// (Wiener–Khinchin ACF, inversion-counting Mann-Kendall, selection
-/// Theil-Sen, sliding-regression Loess) stay observable, not folklore.
+/// Theil-Sen, folded-kernel and sliding-regression Loess) stay observable,
+/// not folklore.
 fn bench_stage_kernels(c: &mut Criterion) {
-    for &n in &[256usize, 900, 4096] {
+    // long_term trend extraction at the windows the detectors use: the
+    // no-seasonality fallback (`TREND_FRACTION` 0.1 of the series) and STL's
+    // `(3p/2)|1` trend window at period 24. Uniform weights dispatch to the
+    // folded kernels at all three sizes; `loess_fft_pays_off` is calibrated
+    // on these cases.
+    for &(n, window) in &[(900usize, 90usize), (900, 37), (4096, 410)] {
         let values = step_series(n);
         let ones = vec![1.0; n];
+        // `ceil(fraction·n)` lands on `window` from half a sample below.
+        let fraction = (window as f64 - 0.5) / n as f64;
+        c.bench_function(&format!("kernel/loess_folded/{n}_{window}"), |b| {
+            b.iter(|| fbd_stats::stl::loess_smooth_windowed(&values, window, &ones).unwrap())
+        });
+        c.bench_function(&format!("kernel/loess_naive/{n}_{window}"), |b| {
+            b.iter(|| fbd_stats::stl::loess_smooth_naive(&values, fraction, &ones).unwrap())
+        });
+        c.bench_function(&format!("kernel/loess_fft/{n}_{window}"), |b| {
+            b.iter(|| fbd_stats::stl::loess_smooth_fft(&values, fraction, &ones).unwrap())
+        });
+    }
 
-        // long_term trend extraction: Loess at the detector's 0.3 fraction.
-        c.bench_function(&format!("kernel/loess_fft/{n}"), |b| {
-            b.iter(|| fbd_stats::stl::loess_smooth_fft(&values, 0.3, &ones).unwrap())
-        });
-        c.bench_function(&format!("kernel/loess_naive/{n}"), |b| {
-            b.iter(|| fbd_stats::stl::loess_smooth_naive(&values, 0.3, &ones).unwrap())
-        });
+    for &n in &[256usize, 900, 4096] {
+        let values = step_series(n);
 
         // went_away trend tests: Mann-Kendall on the post-change window.
         c.bench_function(&format!("kernel/mann_kendall_fast/{n}"), |b| {

@@ -33,7 +33,7 @@ impl Threshold {
 
     /// Whether no shift from a baseline of at least `baseline_lb` to a
     /// current value of at most `current_ub` can meet the threshold — the
-    /// one refutation rule behind the long-term pre-filters and their
+    /// one refutation rule behind the long-term pre-filter and its
     /// online replica. `is_met` is monotone (decreasing in the baseline,
     /// increasing in the current value) for absolute thresholds always,
     /// and for relative thresholds only when the baseline bound is

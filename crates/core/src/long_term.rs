@@ -27,9 +27,8 @@ use fbd_tsdb::{SeriesId, Timestamp, WindowedData};
 
 /// Loess window fraction of the no-seasonality trend fallback. Every site
 /// that smooths or bounds the fallback trend (the full smooth in
-/// `detect_inner`/[`ScanCache::trend`], the four edge-region means in
-/// `edge_means_say_flat`, and the pre-filter dilation) must use this one
-/// constant or the pre-filter's conservativeness proof breaks.
+/// `detect_inner`/[`ScanCache::trend`] and the pre-filter dilation) must
+/// use this one constant or the pre-filter's conservativeness proof breaks.
 pub(crate) const TREND_FRACTION: f64 = 0.1;
 
 /// Geometry shared by the trend pre-filter and its online replica in the
@@ -108,13 +107,10 @@ impl LongTermDetector {
 
     /// Scans one series' windows for a gradual regression.
     ///
-    /// Two shortcuts run ahead of the full path, both pure functions of the
-    /// windows that only ever conclude "no regression" where
-    /// [`Self::detect_without_prefilter`] does too: the O(n) prefix-stats
-    /// pre-filter, which skips the STL/Loess machinery entirely for
-    /// provably-flat series, and — for series without seasonality — the
-    /// four edge-region trend means evaluated directly instead of smoothing
-    /// all n points.
+    /// The O(n) prefix-stats pre-filter runs ahead of the full path and
+    /// skips the STL/Loess machinery entirely for provably-flat series: a
+    /// pure function of the windows that only ever concludes "no
+    /// regression" where [`Self::detect_without_prefilter`] does too.
     pub fn detect(
         &self,
         series: &SeriesId,
@@ -138,9 +134,6 @@ impl LongTermDetector {
             return Ok(None);
         }
         let period = self.stl_period(series, data, cache)?;
-        if period == 0 && self.edge_means_say_flat(windows) {
-            return Ok(None);
-        }
         self.detect_inner(series, windows, period, cache)
     }
 
@@ -205,38 +198,8 @@ impl LongTermDetector {
             .unwrap_or(0))
     }
 
-    /// Edge-region shortcut for series without seasonality: the wide Loess
-    /// trend is only ever consumed through four edge-region means, so those
-    /// are evaluated directly with the per-point kernel — O(edge·window)
-    /// instead of smoothing all n points — and the series is flat when even
-    /// the guard-banded optimistic pair cannot meet the threshold. `false`
-    /// (near-threshold margin, degenerate or failing regions) sends the
-    /// caller down the full path, which then decides or errors itself.
-    fn edge_means_say_flat(&self, windows: &WindowedData) -> bool {
-        let data = windows.all();
-        let (h_len, a_len) = (windows.historic_len(), windows.analysis_len());
-        let Some(geo) = prefilter_geometry(data.len(), h_len, a_len, self.max_period) else {
-            return false;
-        };
-        let mut means = [0.0; 4];
-        for (slot, &(lo, hi)) in means.iter_mut().zip(&geo.regions) {
-            match fbd_stats::stl::loess_uniform_range_mean(data, TREND_FRACTION, lo, hi) {
-                Ok(m) => *slot = m,
-                Err(_) => return false,
-            }
-        }
-        let (baseline, current) = baseline_and_current(means, windows.extended_len());
-        // Per-point edge evaluation can differ from the dispatched smooth by
-        // ~1e-9·scale; a 1e-6·scale guard band dwarfs that, so refuting the
-        // optimistic (baseline − g, current + g) pair refutes the true pair
-        // whenever the threshold is monotone over the guard box.
-        let scale = data.iter().fold(1.0f64, |a, v| a.max(v.abs()));
-        let guard = 1e-6 * scale;
-        self.threshold.refuted_by(baseline - guard, current + guard)
-    }
-
-    /// The full STL/Loess detection path, without either shortcut. Public
-    /// so tests can verify the shortcuts only skip series this path rejects.
+    /// The full STL/Loess detection path, without the pre-filter. Public so
+    /// tests can verify the pre-filter only skips series this path rejects.
     pub fn detect_without_prefilter(
         &self,
         series: &SeriesId,
@@ -531,11 +494,10 @@ mod tests {
 
     #[test]
     fn streaming_path_decisions_match_cached_path() {
-        // Neither shortcut of `detect` (the prefix pre-filter, the
-        // guard-banded edge means) may refute — or swallow an error of — a
-        // window the full path would not: across flats, ramps, steps,
-        // near-threshold margins, seasonal series, analysis windows too
-        // short to bound, and a NaN in each region, `detect` with and
+        // The prefix pre-filter of `detect` may not refute — or swallow an
+        // error of — a window the full path would not: across flats, ramps,
+        // steps, near-threshold margins, seasonal series, analysis windows
+        // too short to bound, and a NaN in each region, `detect` with and
         // without a cache must agree with `detect_without_prefilter` on
         // `Ok`/`Err`, and any reported regression must be bit-identical.
         use crate::scan_cache::ScanCache;

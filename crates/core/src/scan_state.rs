@@ -250,18 +250,15 @@ impl SeriesState {
         touched: u64,
     ) -> Self {
         let negate = id.metric == MetricKind::Throughput;
-        let mut stats = RollingStats::new(0);
         let points: Vec<DataPoint> = points
             .iter()
-            .map(|p| {
-                let value = if negate { -p.value } else { p.value };
-                stats.append(value);
-                DataPoint {
-                    timestamp: p.timestamp,
-                    value,
-                }
+            .map(|p| DataPoint {
+                timestamp: p.timestamp,
+                value: if negate { -p.value } else { p.value },
             })
             .collect();
+        let mut stats = RollingStats::new(0);
+        stats.extend(points.iter().map(|p| p.value));
         let mut state = SeriesState {
             version,
             points,

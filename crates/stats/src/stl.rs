@@ -11,6 +11,8 @@ use crate::descriptive;
 use crate::error::{ensure_finite, ensure_len};
 use crate::scratch::ScratchVec;
 use crate::{Result, StatsError};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A completed STL decomposition; all three components have the input length
 /// and satisfy `data[i] = seasonal[i] + trend[i] + residual[i]`.
@@ -95,6 +97,16 @@ impl StlConfig {
 /// }
 /// ```
 pub fn decompose(data: &[f64], config: StlConfig) -> Result<StlDecomposition> {
+    decompose_with(data, config, loess_dispatch)
+}
+
+/// A Loess core: `(series, window, weights)` to the smoothed series, `None`
+/// meaning all weights 1.0.
+type LoessCore = fn(&[f64], usize, Option<&[f64]>) -> Vec<f64>;
+
+/// [`decompose`] with the trend smoother named, so the tests can run the
+/// same decomposition over the reference Loess.
+fn decompose_with(data: &[f64], config: StlConfig, smooth: LoessCore) -> Result<StlDecomposition> {
     if config.period < 2 {
         return Err(StatsError::InvalidParameter("period must be at least 2"));
     }
@@ -109,8 +121,8 @@ pub fn decompose(data: &[f64], config: StlConfig) -> Result<StlDecomposition> {
     }
     let n = data.len();
     let trend_window = match config.trend_window {
-        Some(w) => w.clamp(3, n),
-        None => loess_window(n, config.trend_fraction).0,
+        Some(w) => clamp_window(w, n),
+        None => loess_window(n, config.trend_fraction),
     };
     let mut seasonal = vec![0.0; n];
     let mut trend = vec![0.0; n];
@@ -134,7 +146,8 @@ pub fn decompose(data: &[f64], config: StlConfig) -> Result<StlDecomposition> {
             for (w, (d, s)) in work.iter_mut().zip(data.iter().zip(&seasonal)) {
                 *w = d - s;
             }
-            trend = loess_smooth_windowed(&work, trend_window, &robustness)?;
+            ensure_finite(&work)?;
+            trend = smooth(&work, trend_window, Some(&robustness));
         }
         // Outer loop: recompute robustness weights from residuals.
         if outer_pass + 1 < outer {
@@ -185,20 +198,21 @@ fn center_seasonal(seasonal: &mut [f64], period: usize) {
 /// `fraction` selects the bandwidth as a fraction of the series length.
 /// `robustness` multiplies the kernel weights (all 1.0 disables it).
 ///
-/// Dispatches between the per-point kernel ([`loess_smooth_naive`],
-/// O(n·window)) and an FFT sliding-regression fast path
-/// ([`loess_smooth_fft`], O(n log n) for the interior). The choice depends
-/// only on `(n, window, weights-all-one)`, so it is deterministic; outputs
-/// of the two paths agree to ~1e-9 relative error (pinned by property
-/// tests), and boundary points are always evaluated by the exact naive
-/// formula.
+/// With all weights 1.0 every fitted value is one dot product of the data
+/// with a fixed folded kernel (`n·window` multiply-adds); with robustness
+/// weights it is the per-point local regression ([`loess_smooth_naive`]).
+/// Either gives way to the FFT sliding-regression interior
+/// ([`loess_smooth_fft`]) where `loess_fft_pays_off` says the transforms are
+/// cheaper. The choice depends only on `(n, window, weights-all-one)`, so it
+/// is deterministic; outputs of all paths agree to ~1e-9 relative error
+/// (pinned by property tests).
 pub fn loess_smooth(data: &[f64], fraction: f64, robustness: &[f64]) -> Result<Vec<f64>> {
-    let (window, _) = loess_window(data.len().max(1), fraction);
+    let window = loess_window(data.len().max(1), fraction);
     loess_smooth_windowed(data, window, robustness)
 }
 
 /// [`loess_smooth`] with an explicit window in samples instead of a
-/// fraction of the series length (clamped to `[3, n]`).
+/// fraction of the series length (at least 3, at most `n`).
 pub fn loess_smooth_windowed(data: &[f64], window: usize, robustness: &[f64]) -> Result<Vec<f64>> {
     ensure_len(data, 2)?;
     ensure_finite(data)?;
@@ -207,7 +221,7 @@ pub fn loess_smooth_windowed(data: &[f64], window: usize, robustness: &[f64]) ->
             "robustness weights length mismatch",
         ));
     }
-    Ok(loess_dispatch(data, window.clamp(3, data.len()), Some(robustness)))
+    Ok(loess_dispatch(data, clamp_window(window, data.len()), Some(robustness)))
 }
 
 /// [`loess_smooth`] with all robustness weights equal to 1.0, without
@@ -216,14 +230,15 @@ pub fn loess_smooth_windowed(data: &[f64], window: usize, robustness: &[f64]) ->
 pub fn loess_smooth_uniform(data: &[f64], fraction: f64) -> Result<Vec<f64>> {
     ensure_len(data, 2)?;
     ensure_finite(data)?;
-    let (window, _) = loess_window(data.len(), fraction);
+    let window = loess_window(data.len(), fraction);
     Ok(loess_dispatch(data, window, None))
 }
 
 /// Reference Loess via the per-point O(n·window) local regression.
 ///
-/// Ground truth for the property tests pinning [`loess_smooth_fft`]; also
-/// the faster kernel for short series and narrow windows.
+/// Ground truth for the property tests pinning the folded kernels and
+/// [`loess_smooth_fft`]; also what a smooth with robustness weights runs
+/// below the FFT crossover.
 pub fn loess_smooth_naive(data: &[f64], fraction: f64, robustness: &[f64]) -> Result<Vec<f64>> {
     ensure_len(data, 2)?;
     ensure_finite(data)?;
@@ -232,7 +247,7 @@ pub fn loess_smooth_naive(data: &[f64], fraction: f64, robustness: &[f64]) -> Re
             "robustness weights length mismatch",
         ));
     }
-    let (window, _) = loess_window(data.len(), fraction);
+    let window = loess_window(data.len(), fraction);
     Ok(loess_naive_core(data, window, Some(robustness)))
 }
 
@@ -247,22 +262,50 @@ pub fn loess_smooth_fft(data: &[f64], fraction: f64, robustness: &[f64]) -> Resu
             "robustness weights length mismatch",
         ));
     }
-    let (window, _) = loess_window(data.len(), fraction);
+    let window = loess_window(data.len(), fraction);
     Ok(loess_fft_core(data, window, Some(robustness)))
 }
 
-/// Window geometry shared by every Loess path.
-fn loess_window(n: usize, fraction: f64) -> (usize, usize) {
-    let window = ((fraction * n as f64).ceil() as usize).clamp(3, n);
-    (window, window / 2)
+/// Tricube weight of a neighbour at relative distance `d` of the window's
+/// farthest one.
+fn tricube(d: f64) -> f64 {
+    (1.0 - d.powi(3)).powi(3).max(0.0)
 }
 
-/// Deterministic cost model for the Loess dispatch. The FFT path costs
+/// The window every Loess path gives an `n`-point series for a requested
+/// one: at least 3 samples, at most the whole series (so a 2-point series
+/// gets a 2-point window).
+fn clamp_window(window: usize, n: usize) -> usize {
+    window.max(3).min(n)
+}
+
+/// The window for a bandwidth given as a fraction of the series length.
+fn loess_window(n: usize, fraction: f64) -> usize {
+    clamp_window((fraction * n as f64).ceil() as usize, n)
+}
+
+/// Deterministic cost model for the Loess dispatch: whether the FFT
+/// sliding-regression interior beats the direct one. The FFT path costs
 /// `ffts` power-of-two transforms of length `m = n.next_power_of_two()`
 /// (5 when the weights are uniform — two sliding correlations share the
 /// signal spectrum and the weight moments are constants — and 12 otherwise)
-/// against `interior·window` multiply-adds for the naive interior. The
-/// factor 2 accounts for the heavier per-butterfly arithmetic.
+/// against `interior·window` neighbour visits for the direct interior.
+///
+/// With robustness weights a visit updates the five running sums of the
+/// per-point regression, and one `m·log m` unit of a transform costs about
+/// two of them.
+///
+/// With uniform weights a visit is one multiply-add of the folded kernel.
+/// The `kernel/loess_{folded,fft}` cases of `pipeline_stages.rs` put a
+/// visit at ~0.15 ns (n = 4096, window 410: 245 µs for 1.5 M visits) and a
+/// transform at ~1.8 ns per `m·log m` unit (that case's FFT takes 806 µs,
+/// some 370 µs of it the per-point boundary; n = 900, window 37: 85 µs,
+/// nearly all of it transforms), 12 visits per unit. Timing the two cores
+/// against each other for n = 2048…65536 put the crossover at 13–18 visits
+/// per unit, so 16 is used: the FFT takes over at window ≈ 1,540 for
+/// n = 4096 and ≈ 1,220 for n = 8192 or 16384. At the benched sizes —
+/// (900, 90), (900, 37), (4096, 410) — it is 8×, 17× and 3× slower than
+/// the folded kernels.
 fn loess_fft_pays_off(n: usize, window: usize, uniform: bool) -> bool {
     let interior = n.saturating_sub(window - 1);
     if interior < 2 || window < 8 {
@@ -270,8 +313,8 @@ fn loess_fft_pays_off(n: usize, window: usize, uniform: bool) -> bool {
     }
     let m = n.next_power_of_two();
     let log_m = m.trailing_zeros() as usize;
-    let ffts = if uniform { 5 } else { 12 };
-    interior * window > 2 * ffts * m * log_m
+    let (ffts, visits_per_unit) = if uniform { (5, 16) } else { (12, 2) };
+    interior * window > visits_per_unit * ffts * m * log_m
 }
 
 /// Dispatching core: `robustness = None` means all weights are 1.0.
@@ -281,9 +324,175 @@ fn loess_dispatch(data: &[f64], window: usize, robustness: Option<&[f64]>) -> Ve
     let uniform = robustness.is_none_or(|r| r.iter().all(|w| w.to_bits() == one));
     if loess_fft_pays_off(n, window, uniform) {
         loess_fft_core(data, window, robustness)
+    } else if uniform {
+        loess_folded_core(data, window, &folded_kernels(window))
     } else {
         loess_naive_core(data, window, robustness)
     }
+}
+
+/// Kernel sets a thread keeps. The detectors ask for the fallback trend's
+/// window (`ceil(0.1·n)`, one or two values per fleet) and STL's
+/// `(3p/2)|1` for p ≤ 30 (22 values), so 32 holds a scan's working set.
+const KERNEL_TABLE_SETS: usize = 32;
+
+/// `f64`s a thread's kernel table may hold (1 MiB). A set is
+/// `(window/2 + 1)·window` values — 33 KiB at window 90, 9 KiB at 47 — so
+/// every window up to 510 can be kept; a larger one is built per call.
+const KERNEL_TABLE_F64S: usize = 1 << 17;
+
+/// The thread's folded kernel sets by window, most recently used first.
+struct KernelTable {
+    sets: Vec<(usize, Rc<[f64]>)>,
+}
+
+thread_local! {
+    static KERNEL_TABLE: RefCell<KernelTable> =
+        const { RefCell::new(KernelTable { sets: Vec::new() }) };
+}
+
+impl KernelTable {
+    fn held_f64s(&self) -> usize {
+        self.sets.iter().map(|(_, k)| k.len()).sum()
+    }
+
+    /// The kernel set for `window`, built on a miss; least recently used
+    /// sets are evicted to stay inside both bounds. A set is a pure
+    /// function of `window`, so what a thread smoothed before cannot
+    /// change a result — only whether this call pays for the build.
+    fn get(&mut self, window: usize) -> Rc<[f64]> {
+        if let Some(at) = self.sets.iter().position(|(w, _)| *w == window) {
+            self.sets[..=at].rotate_right(1);
+            return Rc::clone(&self.sets[0].1);
+        }
+        let kernels = build_folded_kernels(window);
+        if kernels.len() <= KERNEL_TABLE_F64S {
+            while self.sets.len() >= KERNEL_TABLE_SETS
+                || self.held_f64s() + kernels.len() > KERNEL_TABLE_F64S
+            {
+                self.sets.pop();
+            }
+            self.sets.insert(0, (window, Rc::clone(&kernels)));
+        }
+        kernels
+    }
+}
+
+/// The folded kernel set for `window` from the thread's [`KernelTable`].
+fn folded_kernels(window: usize) -> Rc<[f64]> {
+    KERNEL_TABLE.with(|t| t.borrow_mut().get(window))
+}
+
+/// Every fixed kernel a uniform-weight Loess of this `window` needs, as
+/// `window/2 + 1` rows of `window` values: row 0 is the interior kernel
+/// (evaluation point at offset `window/2`), row `1 + c` the kernel of the
+/// boundary point at offset `c` from the series' left end. A boundary
+/// point at offset `c` from the right end uses row `1 + c` against the
+/// reversed data, the same fit mirrored.
+fn build_folded_kernels(window: usize) -> Rc<[f64]> {
+    let half = window / 2;
+    let mut kernels = vec![0.0; (half + 1) * window];
+    let offsets = std::iter::once(half).chain(0..half);
+    for (row, c) in kernels.chunks_exact_mut(window).zip(offsets) {
+        fold_kernel(row, c);
+    }
+    kernels.into()
+}
+
+/// Writes the kernel that maps a window of samples to the local-linear
+/// tricube fit at offset `c` of that window. In coordinates centred on
+/// `c` (`u = k − c`) the fitted value is the intercept of the weighted
+/// regression, `(S2·Σ tri·y − S1·Σ tri·u·y) / (S0·S2 − S1²)` with
+/// `Sp = Σ tri·uᵖ`, which is linear in `y`: the moments fold into the
+/// weights as `tri_k·(S2 − S1·u_k) / (S0·S2 − S1²)`. A singular fit (all
+/// weight on one abscissa) falls back to the weighted mean, as the
+/// per-point regression does.
+fn fold_kernel(kernel: &mut [f64], c: usize) {
+    let max_dist = c.max(kernel.len() - 1 - c).max(1) as f64;
+    let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
+    for (k, t) in kernel.iter_mut().enumerate() {
+        let u = k as f64 - c as f64;
+        let d = u.abs() / max_dist;
+        *t = tricube(d);
+        s0 += *t;
+        s1 += *t * u;
+        s2 += *t * u * u;
+    }
+    // `s0 ≥ 1`: the weight at `c` itself is 1.
+    let denom = s0 * s2 - s1 * s1;
+    let singular = denom.abs() < 1e-12;
+    for (k, t) in kernel.iter_mut().enumerate() {
+        let u = k as f64 - c as f64;
+        *t *= if singular { 1.0 / s0 } else { (s2 - s1 * u) / denom };
+    }
+}
+
+/// Uniform-weight Loess: one dot product per point with the fixed kernels
+/// of [`build_folded_kernels`].
+// fbd-lint::hot
+fn loess_folded_core(data: &[f64], window: usize, kernels: &[f64]) -> Vec<f64> {
+    let n = data.len();
+    let half = window / 2;
+    let (interior, edges) = kernels.split_at(window);
+    let mut smoothed = Vec::with_capacity(n);
+    // Left boundary: the window is pinned at the series' start and the
+    // evaluation point walks through its first half.
+    let head = &data[..window];
+    smoothed.extend(edges.chunks_exact(window).map(|kernel| dot(kernel, head)));
+    // Interior: the window slides with the point.
+    slide(interior, data, &mut smoothed);
+    // Right boundary: the left one mirrored, nearest the interior first.
+    let mut tail = ScratchVec::with_capacity(window);
+    tail.extend(data[n - window..].iter().rev());
+    let mirrored = edges.chunks_exact(window).take(window - half - 1).rev();
+    smoothed.extend(mirrored.map(|kernel| dot(kernel, &tail)));
+    smoothed
+}
+
+/// Appends the dot product of `kernel` with every `kernel.len()`-sample
+/// window of `data`, each summed in kernel order. Sixteen neighbouring
+/// windows advance together so one kernel load serves sixteen sums; the last
+/// block is aligned to the end and recomputes what it overlaps, which
+/// leaves every sum the same whatever the block it fell in.
+// fbd-lint::hot
+fn slide(kernel: &[f64], data: &[f64], out: &mut Vec<f64>) {
+    const BLOCK: usize = 16;
+    let count = data.len() + 1 - kernel.len();
+    if count < BLOCK {
+        let sums = data.windows(kernel.len());
+        out.extend(sums.map(|w| kernel.iter().zip(w).map(|(k, s)| k * s).sum::<f64>()));
+        return;
+    }
+    let mut start = 0;
+    while start < count {
+        let at = start.min(count - BLOCK);
+        let mut acc = [0.0f64; BLOCK];
+        for (k, samples) in kernel.iter().zip(data[at..].windows(BLOCK)) {
+            for (a, s) in acc.iter_mut().zip(samples) {
+                *a += k * s;
+            }
+        }
+        out.extend_from_slice(&acc[start - at..]);
+        start = at + BLOCK;
+    }
+}
+
+/// Dot product over equal-length slices in eight interleaved partial sums,
+/// so the additions of neighbouring terms do not wait on each other. The
+/// summation order is fixed by the length alone.
+// fbd-lint::hot
+fn dot(kernel: &[f64], samples: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 8];
+    let mut kernel_chunks = kernel.chunks_exact(8);
+    let mut sample_chunks = samples.chunks_exact(8);
+    for (k, s) in (&mut kernel_chunks).zip(&mut sample_chunks) {
+        for lane in 0..8 {
+            acc[lane] += k[lane] * s[lane];
+        }
+    }
+    let rest = kernel_chunks.remainder().iter().zip(sample_chunks.remainder());
+    let rest: f64 = rest.map(|(k, s)| k * s).sum();
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + rest
 }
 
 /// The per-point local-regression Loess (previous implementation, kept
@@ -302,7 +511,7 @@ fn loess_naive_core(data: &[f64], window: usize, robustness: Option<&[f64]>) -> 
     let mut interior_tri = ScratchVec::with_capacity(window);
     interior_tri.extend((0..window).map(|k| {
         let d = (k as f64 - interior_center as f64).abs() / interior_max_dist;
-        (1.0 - d.powi(3)).powi(3).max(0.0)
+        tricube(d)
     }));
     let mut edge_tri = ScratchVec::zeroed(window);
     let mut smoothed = Vec::with_capacity(n);
@@ -321,7 +530,7 @@ fn loess_naive_core(data: &[f64], window: usize, robustness: Option<&[f64]>) -> 
         } else {
             for (k, t) in edge_tri[..hi - lo].iter_mut().enumerate() {
                 let d = (k as f64 - center as f64).abs() / max_dist;
-                *t = (1.0 - d.powi(3)).powi(3).max(0.0);
+                *t = tricube(d);
             }
             &edge_tri
         };
@@ -400,7 +609,7 @@ fn loess_point_naive(
                 let d = (k as f64 - center).abs() * inv_dist;
                 // Multiplying by an explicit 1.0 keeps the float ops
                 // identical to the weighted form with an all-ones slice.
-                let w = (1.0 - d.powi(3)).powi(3).max(0.0) * 1.0;
+                let w = tricube(d) * 1.0;
                 let x = j as f64;
                 sw += w;
                 swx += w * x;
@@ -412,7 +621,7 @@ fn loess_point_naive(
         Some(r) => {
             for (k, j) in (lo..hi).enumerate() {
                 let d = (k as f64 - center).abs() * inv_dist;
-                let w = (1.0 - d.powi(3)).powi(3).max(0.0) * r[j];
+                let w = tricube(d) * r[j];
                 let x = j as f64;
                 sw += w;
                 swx += w * x;
@@ -436,32 +645,6 @@ fn loess_point_naive(
     }
 }
 
-/// Mean of the uniform-weight Loess fit over output indices `[lo, hi)`,
-/// evaluating only those points with the per-point kernel instead of
-/// smoothing the whole series — O((hi−lo)·window) instead of O(n·window) or
-/// O(n log n).
-///
-/// Values agree with the corresponding [`loess_smooth_uniform`] outputs to
-/// ~1e-9 relative error (boundary points exactly; interior points may take
-/// the FFT path there), so callers comparing the mean against a threshold
-/// must keep a guard band and fall back to the full smooth near the
-/// decision boundary.
-pub fn loess_uniform_range_mean(data: &[f64], fraction: f64, lo: usize, hi: usize) -> Result<f64> {
-    ensure_len(data, 2)?;
-    ensure_finite(data)?;
-    if lo >= hi || hi > data.len() {
-        return Err(StatsError::InvalidParameter(
-            "empty or out-of-range index range",
-        ));
-    }
-    let (window, half) = loess_window(data.len(), fraction);
-    let mut sum = 0.0;
-    for i in lo..hi {
-        sum += loess_point_naive(data, None, i, window, half);
-    }
-    Ok(sum / (hi - lo) as f64)
-}
-
 /// FFT sliding-regression Loess core.
 ///
 /// Away from the boundaries the tricube kernel is shift-invariant, so in
@@ -482,7 +665,7 @@ fn loess_fft_core(data: &[f64], window: usize, robustness: Option<&[f64]>) -> Ve
     let mut tri = ScratchVec::with_capacity(window);
     tri.extend((0..window).map(|k| {
         let d = (k as f64 - half as f64).abs() / interior_max_dist;
-        (1.0 - d.powi(3)).powi(3).max(0.0)
+        tricube(d)
     }));
     let mut k1 = ScratchVec::with_capacity(window);
     k1.extend(tri.iter().enumerate().map(|(k, &t)| t * (k as f64 - half as f64)));
@@ -722,21 +905,83 @@ mod tests {
 
     #[test]
     fn loess_dispatch_is_deterministic_and_close_to_naive() {
-        // n=900 at fraction 0.3 with uniform weights engages the FFT path.
-        let n = 900;
-        let data = pseudo_series(n, 23);
-        assert!(super::loess_fft_pays_off(n, 270, true));
-        assert!(!super::loess_fft_pays_off(n, 270, false));
-        let ones = vec![1.0; n];
-        let a = loess_smooth(&data, 0.3, &ones).unwrap();
-        let b = loess_smooth(&data, 0.3, &ones).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        // The detectors' regime stays on the folded kernels; a window of
+        // half of 4096 samples is past the FFT crossover.
+        assert!(!super::loess_fft_pays_off(900, 90, true));
+        assert!(!super::loess_fft_pays_off(900, 270, true));
+        assert!(!super::loess_fft_pays_off(900, 270, false));
+        assert!(super::loess_fft_pays_off(4096, 2048, true));
+        for (n, fraction) in [(900, 0.1), (4096, 0.5)] {
+            let data = pseudo_series(n, 23);
+            let ones = vec![1.0; n];
+            let a = loess_smooth(&data, fraction, &ones).unwrap();
+            let b = loess_smooth(&data, fraction, &ones).unwrap();
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            let slow = loess_smooth_naive(&data, fraction, &ones).unwrap();
+            let scale = data.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
+            for (x, s) in a.iter().zip(&slow) {
+                assert!((x - s).abs() < 1e-9 * scale);
+            }
         }
-        let slow = loess_smooth_naive(&data, 0.3, &ones).unwrap();
-        let scale = data.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
-        for (x, s) in a.iter().zip(&slow) {
-            assert!((x - s).abs() < 1e-9 * scale);
+    }
+
+    #[test]
+    fn two_point_series_smooths_to_itself() {
+        // The 3-sample minimum window must not outgrow the series.
+        let data = [1.0, 2.0];
+        assert_eq!(loess_smooth_uniform(&data, 0.5).unwrap(), data);
+        assert_eq!(loess_smooth_windowed(&data, 7, &[1.0, 1.0]).unwrap(), data);
+        assert_eq!(loess_smooth_naive(&data, 0.5, &[1.0, 1.0]).unwrap(), data);
+    }
+
+    fn table_size() -> (usize, usize) {
+        KERNEL_TABLE.with(|t| {
+            let t = t.borrow();
+            (t.sets.len(), t.held_f64s())
+        })
+    }
+
+    #[test]
+    fn kernel_table_is_bounded_and_cannot_change_a_result() {
+        let data = pseudo_series(900, 41);
+        let smooth_all = |data: &[f64]| -> Vec<u64> {
+            let windows = [90, 37, 3, 900, 4, 511];
+            let smooths = windows.iter().flat_map(|&w| loess_dispatch(data, w, None));
+            smooths.map(f64::to_bits).collect()
+        };
+        let fresh = {
+            let data = data.clone();
+            std::thread::spawn(move || smooth_all(&data)).join().unwrap()
+        };
+        // Cycle this thread's table through more windows than it holds, and
+        // through sets that only fit after evicting most of the others.
+        for window in (3..3 + 3 * KERNEL_TABLE_SETS).chain([509, 510, 800, 508]) {
+            loess_dispatch(&data, window, None);
+            let (sets, held) = table_size();
+            assert!(sets <= KERNEL_TABLE_SETS && held <= KERNEL_TABLE_F64S, "{sets} sets, {held} f64s");
+        }
+        // 509, 510 and 508 each nearly fill the table and 800 is never kept.
+        assert_eq!(table_size().0, 1);
+        assert_eq!(smooth_all(&data), fresh);
+    }
+
+    #[test]
+    fn stl_trend_matches_the_reference_loess() {
+        for period in [2, 7, 24, 30] {
+            let data: Vec<f64> = seasonal_series(900, period, 2.0, 0.01)
+                .iter()
+                .zip(pseudo_series(900, period as u64))
+                .map(|(s, noise)| s + 0.1 * noise)
+                .collect();
+            let config = StlConfig::for_period(period);
+            let folded = decompose(&data, config).unwrap();
+            let reference = decompose_with(&data, config, loess_naive_core).unwrap();
+            let scale = data.iter().fold(1.0f64, |a, v| a.max(v.abs()));
+            for (i, (f, r)) in folded.trend.iter().zip(&reference.trend).enumerate() {
+                assert!((f - r).abs() <= 1e-9 * scale, "p={period} i={i}: {f} vs {r}");
+            }
         }
     }
 }

@@ -104,9 +104,7 @@ impl RollingStats {
     pub fn rebuild(values: &[f64], start: u64, pivot: Option<f64>) -> Self {
         let mut s = RollingStats::new(start);
         s.pivot = pivot;
-        for &v in values {
-            s.append(v);
-        }
+        s.extend(values.iter().copied());
         s
     }
 
@@ -142,17 +140,44 @@ impl RollingStats {
         if self.pivot.is_none() && value.is_finite() {
             self.pivot = Some(value);
         }
+        let old_end = self.end_index();
         self.values.push_back(value);
-        let end = self.end_index();
-        // Seal the block this sample completed, if it is fully retained.
-        if end.is_multiple_of(BLOCK) {
-            let block_start = end - BLOCK;
-            if block_start >= self.first {
-                let block_no = block_start / BLOCK;
+        self.seal_completed(old_end);
+    }
+
+    /// Appends a run of samples at the next absolute indices, bit-identical
+    /// to [`Self::append`]ing them one by one: storage is reserved once for
+    /// the whole run and the completed blocks are sealed afterwards, each
+    /// by the same left-to-right pass over its samples.
+    // fbd-lint::hot
+    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
+        let values = values.into_iter();
+        let (old_len, old_end) = (self.values.len(), self.end_index());
+        // Grow to the power of two one-by-one appends would have reached:
+        // an exact fit reallocates to twice the run at the very next append.
+        let needed = old_len + values.size_hint().0;
+        if needed > self.values.capacity() {
+            self.values.reserve_exact(needed.next_power_of_two() - old_len);
+        }
+        self.values.extend(values);
+        if self.pivot.is_none() {
+            // A block sealed before the first finite sample has nothing to
+            // centre, so fixing the pivot once the run is stored is the
+            // same as fixing it at that sample.
+            self.pivot = self.values.range(old_len..).copied().find(|v| v.is_finite());
+        }
+        self.seal_completed(old_end);
+    }
+
+    /// Seals every block completed since the structure ended at absolute
+    /// index `old_end`, if it is fully retained.
+    fn seal_completed(&mut self, old_end: u64) {
+        for block_no in old_end / BLOCK..self.end_index() / BLOCK {
+            if block_no * BLOCK >= self.first {
                 if self.blocks.is_empty() {
                     self.first_block = block_no;
                 }
-                self.blocks.push_back(self.seal(block_start));
+                self.blocks.push_back(self.seal(block_no * BLOCK));
             }
         }
     }
@@ -299,15 +324,14 @@ impl RollingStats {
             finite: 0,
             max_dev: 0.0,
         };
-        for i in block_start..block_start + BLOCK {
-            if let Some(v) = self.get(i) {
-                if v.is_finite() {
-                    let c = v - pivot;
-                    acc.sum += c;
-                    acc.sum_sq += c * c;
-                    acc.finite += 1;
-                    acc.max_dev = acc.max_dev.max(c.abs());
-                }
+        let at = (block_start - self.first) as usize;
+        for &v in self.values.range(at..at + BLOCK as usize) {
+            if v.is_finite() {
+                let c = v - pivot;
+                acc.sum += c;
+                acc.sum_sq += c * c;
+                acc.finite += 1;
+                acc.max_dev = acc.max_dev.max(c.abs());
             }
         }
         acc

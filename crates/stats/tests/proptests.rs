@@ -374,24 +374,58 @@ proptest! {
     }
 
     #[test]
-    fn loess_range_mean_matches_full_smooth(
-        data in finite_series(16, 300),
-        fraction in 0.15f64..0.5,
-        bounds in (0usize..1000, 1usize..1000),
+    fn loess_folded_matches_naive_in_the_detector_regime(
+        n in 2usize..=1200,
+        window_pick in 0usize..1_000_000,
+        regime in 0usize..6,
+        kind in 0usize..4,
+        seed in any::<u64>(),
     ) {
-        // The long-term fast path averages a Loess slice without smoothing
-        // the whole series; it must agree with the mean of the full smooth.
-        let (a, b) = bounds;
-        let lo = a % data.len();
-        let hi = lo + 1 + b % (data.len() - lo);
-        let ranged = stl::loess_uniform_range_mean(&data, fraction, lo, hi).unwrap();
-        let full = stl::loess_smooth_uniform(&data, fraction).unwrap();
-        let direct = full[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
-        let scale = data.iter().map(|v| v.abs()).fold(1.0, f64::max);
-        prop_assert!(
-            (ranged - direct).abs() < 1e-9 * scale,
-            "range [{lo},{hi}) mean {ranged} vs full-smooth mean {direct}"
-        );
+        // The uniform-weight entry points (fraction and explicit window)
+        // against the per-point reference, at the sizes the detectors use
+        // and at every window shape: n ≤ 1200 keeps the dispatch off the
+        // FFT, so this is the folded kernels alone.
+        let noise = |i: usize| {
+            let mut z = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        let data: Vec<f64> = (0..n)
+            .map(|i| match kind {
+                0 => 1e3 * noise(i),
+                1 => 1.0 + noise(0),
+                2 => 1e9 + noise(i),
+                _ => 1e-9 * noise(i),
+            })
+            .collect();
+        let any_window = 3 + window_pick % (n.max(3) - 2);
+        let window = match regime {
+            0 | 1 => any_window,
+            2 => n,
+            // No interior point, or a single one.
+            3 => n.saturating_sub(1 + window_pick % 2),
+            4 => any_window & !1,
+            _ => any_window | 1,
+        }
+        .max(3)
+        .min(n);
+        // `ceil(fraction·n)` lands on `window` from half a sample below.
+        let fraction = (window as f64 - 0.5) / n as f64;
+        let ones = vec![1.0; n];
+        let naive = stl::loess_smooth_naive(&data, fraction, &ones).unwrap();
+        let by_fraction = stl::loess_smooth_uniform(&data, fraction).unwrap();
+        let by_window = stl::loess_smooth_windowed(&data, window, &ones).unwrap();
+        let explicit_ones = stl::loess_smooth(&data, fraction, &ones).unwrap();
+        let scale = data.iter().map(|v| v.abs()).fold(0.0, f64::max);
+        for i in 0..n {
+            prop_assert!(
+                (by_fraction[i] - naive[i]).abs() <= 1e-9 * scale,
+                "n={n} window={window} kind={kind} i={i}: folded {} vs naive {}", by_fraction[i], naive[i]
+            );
+            prop_assert_eq!(by_fraction[i].to_bits(), by_window[i].to_bits());
+            prop_assert_eq!(by_fraction[i].to_bits(), explicit_ones[i].to_bits());
+        }
     }
 
     #[test]
@@ -505,13 +539,15 @@ proptest! {
 
     #[test]
     fn rolling_stats_bit_identical_to_cold_rebuild(
-        ops in prop::collection::vec((0u8..10, -1e6f64..1e6, 1usize..40), 1..200),
+        ops in prop::collection::vec((0u8..12, -1e6f64..1e6, 1usize..40), 1..200),
         query in (0u64..400, 1u64..400),
     ) {
-        // Incremental append/evict maintenance must be indistinguishable —
-        // to the bit — from rebuilding over the retained samples with the
-        // same pivot. The streaming scan engine's round-over-round
-        // determinism rests on exactly this property.
+        // Incremental append/extend/evict maintenance must be
+        // indistinguishable — to the bit — from rebuilding over the
+        // retained samples with the same pivot, whether the rebuild appends
+        // them one by one or extends by all of them at once. The streaming
+        // scan engine's round-over-round determinism rests on exactly this
+        // property.
         use fbd_stats::streaming::RollingStats;
         let mut inc = RollingStats::new(0);
         let mut shadow: Vec<f64> = Vec::new();
@@ -532,6 +568,15 @@ proptest! {
                     inc.append(f64::INFINITY);
                     shadow.push(f64::INFINITY);
                 }
+                // Runs of up to 117 samples, so one `extend` can complete
+                // two blocks; every other run carries NaNs.
+                9 | 10 => {
+                    let run: Vec<f64> = (0..3 * k)
+                        .map(|j| if sel == 10 && j % 7 == 0 { f64::NAN } else { value + j as f64 })
+                        .collect();
+                    inc.extend(run.iter().copied());
+                    shadow.extend(run);
+                }
                 _ => {
                     let k = k.min(shadow.len() - evicted.min(shadow.len()));
                     inc.evict_front(k);
@@ -541,6 +586,10 @@ proptest! {
         }
         let retained = &shadow[evicted..];
         let cold = RollingStats::rebuild(retained, evicted as u64, inc.pivot());
+        let mut appended = RollingStats::rebuild(&[], evicted as u64, inc.pivot());
+        for &v in retained {
+            appended.append(v);
+        }
         prop_assert_eq!(inc.first_index(), cold.first_index());
         prop_assert_eq!(inc.len(), cold.len());
         let (qa, qlen) = query;
@@ -553,6 +602,11 @@ proptest! {
             (inc.first_index() + (inc.len() as u64) / 3, end.saturating_sub(1).max(1)),
         ];
         for (a, b) in ranges {
+            let bits = |s: &RollingStats| {
+                let m = s.segment_moments(a, b);
+                (m.finite, m.sum.to_bits(), m.sum_sq.to_bits(), m.max_dev.to_bits())
+            };
+            prop_assert_eq!(bits(&appended), bits(&cold), "append vs extend on [{}, {})", a, b);
             prop_assert_eq!(inc.finite_count(a, b), cold.finite_count(a, b));
             prop_assert_eq!(
                 inc.centered_sum(a, b).to_bits(),
