@@ -14,11 +14,15 @@ use fbd_stats::sax::{encode, SaxConfig};
 use fbd_stats::stl::{decompose, StlConfig};
 use fbd_stats::{cusum, em};
 use fbd_tsdb::window::extract_windows;
-use fbd_tsdb::{MetricKind, SeriesId, TimeSeries, WindowConfig, WindowedData};
+use fbd_tsdb::{
+    DataPoint, MetricKind, SealedBlock, SeriesId, TimeRuns, TimeSeries, TsdbStore, WindowConfig,
+    WindowedData,
+};
 use fbdetect_core::change_point::ChangePointDetector;
 use fbdetect_core::config::{DetectorConfig, Threshold};
 use fbdetect_core::types::{Regression, RegressionKind};
 use fbdetect_core::went_away::{DecidedBy, WentAwayDetector};
+use fbdetect_core::StreamingEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -274,6 +278,58 @@ fn bench_stage_kernels(c: &mut Criterion) {
     });
     c.bench_function("kernel/long_term_full_stl/900_flat", |b| {
         b.iter(|| detector.detect_without_prefilter(&sid, &windows, 54_000).unwrap())
+    });
+
+    // The streaming engine's first look at a series: `Reset` deltas decoded
+    // straight from sealed blocks into the columnar state, 64 series of 900
+    // points per iteration. `regular` is the production cadence (one
+    // timestamp run per series); `irregular` jitters every gap, the run
+    // list's worst case (one run per point).
+    for (name, jitter) in [("regular", 0u64), ("irregular", 7)] {
+        let store = TsdbStore::compressed();
+        let ids: Vec<SeriesId> = (0..64)
+            .map(|i| SeriesId::new("svc", MetricKind::GCpu, format!("s{i}")))
+            .collect();
+        for (s, id) in ids.iter().enumerate() {
+            for (i, v) in SeriesSpec::flat(n, 1.0, 0.05).generate(s as u64).unwrap().iter().enumerate() {
+                let t = i as u64 * 60 + (i as u64 * 2_654_435_761 % (jitter + 1));
+                store.append(id, t, *v).unwrap();
+            }
+        }
+        let mut by_shard: Vec<Vec<&SeriesId>> = vec![Vec::new(); TsdbStore::shard_count()];
+        for id in &ids {
+            by_shard[TsdbStore::shard_of(id)].push(id);
+        }
+        c.bench_function(&format!("engine/reset_ingest/{name}_900"), |b| {
+            b.iter(|| {
+                let mut engine = StreamingEngine::new(config.windows);
+                engine.round_prologue(54_000);
+                for (shard, ids) in by_shard.iter().enumerate() {
+                    engine.ingest_shard(&store, shard, ids, 54_000);
+                }
+                engine.finish_round();
+                engine
+            })
+        });
+    }
+
+    // The bulk column decoder over one default-sized sealed block.
+    let points: Vec<DataPoint> = SeriesSpec::flat(128, 1.0, 0.05)
+        .generate(7)
+        .unwrap()
+        .iter()
+        .enumerate()
+        .map(|(i, v)| DataPoint::new(i as u64 * 60, *v))
+        .collect();
+    let block = SealedBlock::from_points(&points);
+    c.bench_function("block/decode_columns/128", |b| {
+        let mut values = Vec::with_capacity(128);
+        b.iter(|| {
+            values.clear();
+            let mut times = TimeRuns::new();
+            block.decode_columns(0, &mut times, &mut values);
+            times
+        })
     });
 }
 

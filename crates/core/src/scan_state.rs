@@ -15,7 +15,9 @@
 //!   [`fbd_tsdb::SeriesDelta`]s in one batched store pass per shard. An unchanged
 //!   series costs O(1) (a version compare, no bytes copied); an appended
 //!   series costs O(k) for k new points; only replaced/expired series pay a
-//!   full copy. Workers then never touch a shard lock.
+//!   full copy — columns decoded straight from the sealed blocks, each
+//!   value written once into the buffer the state then keeps. Workers then
+//!   never touch a shard lock.
 //! * **Partition-equality reuse** — each round records the absolute
 //!   point-index partitions at the window boundary timestamps. Retained
 //!   points are immutable and their absolute indices are stable, so equal
@@ -51,6 +53,11 @@
 //! * **Scratch reuse** — each state owns the window value buffer for its
 //!   series; steady-state rounds extract windows into it with zero new
 //!   allocations ([`EngineStats::buffer_growth`] counts the exceptions).
+//! * **One resident copy per point** — a state is two columns over one
+//!   absolute point index: the values live only in the [`RollingStats`]
+//!   ring and the timestamps only as [`TimeRuns`] (one run for a regular
+//!   series), so window boundaries and the cadence estimate never touch a
+//!   per-point timestamp and a window is one slice copy of the ring.
 //!
 //! Values are *oriented at ingest* (throughput is negated so a drop reads
 //! as a regression, exactly as [`crate::pipeline::Pipeline`] does after
@@ -90,12 +97,12 @@ use fbd_stats::distributions::chi_squared_p_value;
 use fbd_stats::online;
 use fbd_stats::streaming::RollingStats;
 use fbd_tsdb::{
-    snapshot_bounds, window_coverage_from_counts, windows_from_points_with_coverage, DataPoint,
-    MetricKind, SeriesDelta, SeriesId, SeriesVersion, Timestamp, TsdbError, TsdbStore, WindowConfig,
-    WindowedData,
+    snapshot_bounds, window_coverage_from_counts, DataPoint, MetricKind, SeriesColumns, SeriesDelta,
+    SeriesId, SeriesVersion, TimeRuns, Timestamp, TsdbError, TsdbStore, WindowConfig,
+    WindowCoverage, WindowedData,
 };
 use fbd_sync::{LockDomain, OrderedMutex};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// States untouched for this many rounds are dropped (series that left the
@@ -210,25 +217,18 @@ pub struct RoundToken {
     min_coverage: f64,
 }
 
-/// Per-series engine state: the oriented retained points, their rolling
-/// statistics, the reusable window buffer, and the last round's artifacts.
+/// Per-series engine state, columnar with one resident copy per point:
+/// the oriented values live only in the rolling statistics, the timestamps
+/// only as runs. Both columns share one absolute point index, stable across
+/// trims, which is what makes [`Partitions`] comparable across rounds.
 struct SeriesState {
     version: SeriesVersion,
-    /// Retained points, values oriented; `points[start..]` is live.
-    points: Vec<DataPoint>,
-    /// Logical start of the live region (amortized compaction).
-    start: usize,
-    /// Absolute index of `points[0]`; absolute indices are stable across
-    /// trims, which is what makes [`Partitions`] comparable across rounds.
-    abs0: u64,
-    /// Blockwise rolling stats over the live region, indexed absolutely.
+    /// Retained values, oriented, with their blockwise rolling sums.
     stats: RollingStats,
-    /// Run-length-encoded timestamp gaps: `(first_gap_index, gap)` runs,
-    /// where gap index `j` (absolute) is `t[j] - t[j-1]` and a run covers
-    /// every index up to the next run's start. Regular cadence keeps this
-    /// at one run, making the Level C cadence query O(1) instead of an
-    /// O(window) timestamp rescan per round.
-    gap_runs: VecDeque<(u64, u64)>,
+    /// Retained timestamps as arithmetic runs: window boundaries and the
+    /// cadence estimate come from the runs, O(log runs) on a regular series
+    /// instead of a rescan of the window's timestamps.
+    times: TimeRuns,
     /// Points with timestamps below this may have been discarded; a scan
     /// whose historic window starts earlier cannot be served from here.
     trim_ts: Timestamp,
@@ -240,100 +240,121 @@ struct SeriesState {
 }
 
 impl SeriesState {
-    /// Builds a fresh state from a `Reset` delta's point copy.
+    /// Builds a fresh state from a `Reset` delta's columns: the value
+    /// column is oriented in place and adopted as the rolling statistics'
+    /// storage, so the values the block decoder wrote are never written
+    /// again.
+    // fbd-lint::hot
     fn rebuild(
         id: &SeriesId,
         version: SeriesVersion,
-        points: &[DataPoint],
+        columns: SeriesColumns,
         trim_ts: Timestamp,
         buffer: Vec<f64>,
         touched: u64,
     ) -> Self {
-        let negate = id.metric == MetricKind::Throughput;
-        let points: Vec<DataPoint> = points
-            .iter()
-            .map(|p| DataPoint {
-                timestamp: p.timestamp,
-                value: if negate { -p.value } else { p.value },
-            })
-            .collect();
-        let mut stats = RollingStats::new(0);
-        stats.extend(points.iter().map(|p| p.value));
-        let mut state = SeriesState {
+        let SeriesColumns { times, mut values } = columns;
+        if id.metric == MetricKind::Throughput {
+            values.iter_mut().for_each(|v| *v = -*v);
+        }
+        SeriesState {
             version,
-            points,
-            start: 0,
-            abs0: 0,
-            stats,
-            gap_runs: VecDeque::new(),
+            stats: RollingStats::adopt(times.first_index(), values),
+            times,
             trim_ts,
             buffer,
             last: None,
             touched,
-        };
-        for j in 1..state.points.len() {
-            let g = state.points[j].timestamp - state.points[j - 1].timestamp;
-            state.push_gap(j as u64, g);
-        }
-        state
-    }
-
-    /// Records the gap ending at absolute point index `j`, extending the
-    /// last run when the gap repeats.
-    fn push_gap(&mut self, j: u64, gap: u64) {
-        if self.gap_runs.back().map(|&(_, g)| g) != Some(gap) {
-            self.gap_runs.push_back((j, gap));
         }
     }
 
-    /// Minimum positive timestamp gap over absolute gap indices
-    /// `[lo, hi)` — exactly what the cadence estimate in
-    /// [`fbd_tsdb::window_coverage`] computes over the matching point
-    /// slice, answered from the gap runs without touching the points.
-    fn min_gap(&self, lo: u64, hi: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for (k, &(start, g)) in self.gap_runs.iter().enumerate() {
-            if start >= hi {
-                break;
+    /// Folds an `Appended` delta's tail into both columns. `false` — and
+    /// nothing folded — when the tail starts before the last retained
+    /// timestamp: a true append never does (appends are non-decreasing),
+    /// so the version counters must have aliased another lineage.
+    // fbd-lint::hot
+    fn append_tail(&mut self, id: &SeriesId, tail: &[DataPoint]) -> bool {
+        if let (Some(prev), Some(next)) = (self.times.last(), tail.first()) {
+            if next.timestamp < prev {
+                return false;
             }
-            let end = self
-                .gap_runs
-                .get(k + 1)
-                .map_or(u64::MAX, |&(next, _)| next);
-            if end <= lo || g == 0 {
-                continue;
-            }
-            best = Some(best.map_or(g, |b| b.min(g)));
         }
-        best
+        let negate = id.metric == MetricKind::Throughput;
+        for p in tail {
+            self.stats.append(if negate { -p.value } else { p.value });
+            self.times.push(p.timestamp);
+        }
+        true
     }
 
-    /// Drops live points before `bound_start` (they precede every window a
-    /// scan at the current watermark reads), keeping absolute indices
-    /// stable and compacting the backing storage once it is half dead.
+    /// The absolute point-index partitions at a scan's boundary timestamps
+    /// (as window extraction computes them from `now`).
+    fn partitions(
+        &self,
+        historic_start: Timestamp,
+        analysis_start: Timestamp,
+        extended_start: Timestamp,
+        now: Timestamp,
+    ) -> Partitions {
+        let pp = |t: Timestamp| self.times.partition_point(t);
+        // The boundaries ascend, so over ordered timestamps the partitions
+        // do too; the `max` chain only keeps the region lengths from
+        // underflowing on the disorder a corrupt block decodes to.
+        let h = pp(historic_start);
+        let a = pp(analysis_start).max(h);
+        let e = pp(extended_start).max(a);
+        let n = pp(now).max(e);
+        let c = pp(now.max(historic_start + 1)).max(n);
+        Partitions { h, a, e, n, c }
+    }
+
+    /// The coverage verdict window extraction would attach to the windows
+    /// at `parts`: region counts fall out of the partitions and the cadence
+    /// out of the timestamp runs, so it costs a walk over the runs instead
+    /// of a rescan of the window's timestamps.
+    fn coverage(&self, parts: &Partitions, config: &WindowConfig, now: Timestamp) -> WindowCoverage {
+        window_coverage_from_counts(
+            (parts.a - parts.h) as usize,
+            (parts.e - parts.a) as usize,
+            (parts.n - parts.e) as usize,
+            self.times.min_gap(parts.h + 1, parts.c),
+            config,
+            now,
+        )
+    }
+
+    /// Copies the window `[parts.h, parts.n)` out of the value column into
+    /// `buffer` — the three regions are adjacent, so it is one copy (two
+    /// when the ring has wrapped).
+    // fbd-lint::hot
+    fn fill_window(&self, parts: &Partitions, buffer: &mut Vec<f64>) {
+        let (front, back) = self.stats.slices(parts.h, parts.n);
+        buffer.clear();
+        buffer.reserve(front.len() + back.len());
+        buffer.extend_from_slice(front);
+        buffer.extend_from_slice(back);
+    }
+
+    /// Drops points before `bound_start` (they precede every window a scan
+    /// at the current watermark reads), keeping absolute indices stable.
     fn trim(&mut self, bound_start: Timestamp) {
-        let live = &self.points[self.start..];
-        let k = live.partition_point(|p| p.timestamp < bound_start);
-        if k == 0 {
+        let to = self.times.partition_point(bound_start);
+        if to == self.times.first_index() {
             return;
         }
-        self.start += k;
-        self.stats.evict_to(self.abs0 + self.start as u64);
-        // Retire gap runs fully behind the live region; the run covering
-        // the first live gap index stays (runs are half-open on the right).
-        let first_live_gap = self.abs0 + self.start as u64 + 1;
-        while self.gap_runs.len() >= 2 && self.gap_runs[1].0 <= first_live_gap {
-            self.gap_runs.pop_front();
-        }
+        self.times.trim(to);
+        self.stats.evict_to(to);
         if self.trim_ts < bound_start {
             self.trim_ts = bound_start;
         }
-        if self.start > self.points.len() / 2 {
-            let drained = self.start;
-            self.points.drain(..drained);
-            self.abs0 += drained as u64;
-            self.start = 0;
-        }
+    }
+
+    /// Heap bytes this state holds: values, timestamp runs and the window
+    /// buffer, each at its capacity.
+    fn resident_bytes(&self) -> usize {
+        self.stats.resident_bytes()
+            + self.times.resident_bytes()
+            + self.buffer.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -405,12 +426,14 @@ pub struct EngineStats {
     /// Completed scans whose window buffer had to grow — zero once a fleet
     /// reaches steady state.
     pub buffer_growth: u64,
-    /// Points currently resident across all series states — the dominant
-    /// term of the engine's memory footprint, including the online-detector
-    /// state (rolling moments and gap runs track the same retained range).
-    /// Shrinks when the stale sweep retires states or `trim` drops points
-    /// behind the historic boundary.
+    /// Samples currently retained across all series states. Shrinks when
+    /// the stale sweep retires states or `trim` drops points behind the
+    /// historic boundary.
     pub resident_points: u64,
+    /// Heap bytes those states hold — value rings (with their block sums),
+    /// timestamp runs and window buffers, each at its capacity — so the
+    /// engine's memory footprint reads off its own counters.
+    pub resident_bytes: u64,
 }
 
 #[derive(Default)]
@@ -550,30 +573,11 @@ impl StreamingEngine {
                     }
                 }
                 SeriesDelta::Appended { version, tail } => {
+                    // A discontinuous tail (counter aliasing) drops the
+                    // state; the round falls back to a full store scan.
                     let mut extended = false;
                     if let Some(s) = shard.states.get_mut(*id) {
-                        // Tail-continuity defense against counter aliasing:
-                        // a true append can never start before the state's
-                        // last timestamp (appends are non-decreasing).
-                        let continuous = match (s.points.last(), tail.first()) {
-                            (Some(prev), Some(next)) => next.timestamp >= prev.timestamp,
-                            _ => true,
-                        };
-                        if continuous {
-                            let negate = id.metric == MetricKind::Throughput;
-                            for p in tail.iter() {
-                                let value = if negate { -p.value } else { p.value };
-                                s.stats.append(value);
-                                let prev_ts = s.points.last().map(|q| q.timestamp);
-                                if let Some(prev_ts) = prev_ts {
-                                    let j = s.abs0 + s.points.len() as u64;
-                                    s.push_gap(j, p.timestamp - prev_ts);
-                                }
-                                s.points.push(DataPoint {
-                                    timestamp: p.timestamp,
-                                    value,
-                                });
-                            }
+                        if s.append_tail(id, &tail) {
                             s.version = version;
                             s.touched = round;
                             s.trim(bound_start);
@@ -589,15 +593,24 @@ impl StreamingEngine {
                         self.counters.removed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                SeriesDelta::Reset { version, points } => {
-                    let buffer = shard
-                        .states
-                        .remove(*id)
-                        .map(|s| s.buffer)
-                        .unwrap_or_default();
-                    let state =
-                        SeriesState::rebuild(id, version, &points, bound_start, buffer, round);
-                    shard.states.insert((*id).clone(), state);
+                SeriesDelta::Reset { version, columns } => {
+                    // A known series keeps its map slot and window buffer.
+                    let mut slot = shard.states.get_mut(*id);
+                    let buffer = slot.as_mut().map(|s| std::mem::take(&mut s.buffer));
+                    let state = SeriesState::rebuild(
+                        id,
+                        version,
+                        columns,
+                        bound_start,
+                        buffer.unwrap_or_default(),
+                        round,
+                    );
+                    match slot {
+                        Some(s) => *s = state,
+                        None => {
+                            shard.states.insert((*id).clone(), state);
+                        }
+                    }
                     self.counters.resets.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -639,16 +652,7 @@ impl StreamingEngine {
             self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
             return Prepared::Fallback;
         }
-        let base = s.abs0 + s.start as u64;
-        let live = &s.points[s.start..];
-        let pp = |t: Timestamp| base + live.partition_point(|p| p.timestamp < t) as u64;
-        let parts = Partitions {
-            h: pp(historic_start),
-            a: pp(analysis_start),
-            e: pp(extended_start),
-            n: pp(now),
-            c: pp(now.max(historic_start + 1)),
-        };
+        let parts = s.partitions(historic_start, analysis_start, extended_start, now);
         let unsaturated = now >= self.config.total_span();
         let reuse = match &s.last {
             Some(last)
@@ -732,21 +736,10 @@ impl StreamingEngine {
         // single detector kernel.
         if let Some(policy) = self.online {
             if self.refute_online(&policy, s, &parts) {
-                // Region counts fall out of the partitions and the cadence
-                // out of the incremental gap runs, so the coverage verdict
-                // costs O(1) instead of an O(window) timestamp rescan.
-                let coverage = window_coverage_from_counts(
-                    (parts.a - parts.h) as usize,
-                    (parts.e - parts.a) as usize,
-                    (parts.n - parts.e) as usize,
-                    s.min_gap(parts.h + 1, parts.c),
-                    &self.config,
-                    now,
-                );
                 let outcome = CachedScan::Ok {
                     short: None,
                     long: None,
-                    partial: coverage.is_partial(min_coverage),
+                    partial: s.coverage(&parts, &self.config, now).is_partial(min_coverage),
                 };
                 self.counters.advanced_online.fetch_add(1, Ordering::Relaxed);
                 self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
@@ -762,51 +755,29 @@ impl StreamingEngine {
             }
             self.counters.online_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
+        // Fresh detection: the gates above left a non-empty historic and
+        // analysis region, so the windows always build.
         let buffer_capacity = s.buffer.capacity();
-        let buffer = std::mem::take(&mut s.buffer);
-        // Fresh scans still need the value buffer, but the coverage verdict
-        // comes from the partitions and the incremental gap runs — the same
-        // O(1) expression the Level C arm uses — instead of the O(window)
-        // timestamp rescan inside `windows_from_points_into`.
-        let coverage = window_coverage_from_counts(
-            (parts.a - parts.h) as usize,
-            (parts.e - parts.a) as usize,
-            (parts.n - parts.e) as usize,
-            s.min_gap(parts.h + 1, parts.c),
-            &self.config,
-            now,
-        );
-        match windows_from_points_with_coverage(&s.points[s.start..], &self.config, now, buffer, coverage)
-        {
-            Ok(windows) => {
-                self.counters.scanned.fetch_add(1, Ordering::Relaxed);
-                Prepared::Scan {
-                    windows,
-                    token: RoundToken {
-                        parts,
-                        unsaturated,
-                        buffer_capacity,
-                        min_finite_fraction,
-                        min_coverage,
-                    },
-                }
-            }
-            Err(e) => {
-                // Unreachable given the partition gate above; mirror the
-                // store path faithfully if it ever fires.
-                let outcome = CachedScan::NoData(e.to_string());
-                self.counters.gated.fetch_add(1, Ordering::Relaxed);
-                self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
-                s.last = Some(RoundArtifacts {
-                    now,
-                    parts,
-                    unsaturated,
-                    min_finite_fraction,
-                    min_coverage,
-                    outcome: outcome.clone(),
-                });
-                Prepared::Reuse(outcome)
-            }
+        let mut buffer = std::mem::take(&mut s.buffer);
+        s.fill_window(&parts, &mut buffer);
+        let coverage = s.coverage(&parts, &self.config, now);
+        self.counters.scanned.fetch_add(1, Ordering::Relaxed);
+        Prepared::Scan {
+            windows: WindowedData::from_parts(
+                buffer,
+                (parts.a - parts.h) as usize,
+                (parts.e - parts.a) as usize,
+                analysis_start,
+                extended_start,
+                coverage,
+            ),
+            token: RoundToken {
+                parts,
+                unsaturated,
+                buffer_capacity,
+                min_finite_fraction,
+                min_coverage,
+            },
         }
     }
 
@@ -954,15 +925,14 @@ impl StreamingEngine {
     /// A snapshot of the engine's counters.
     pub fn stats(&self) -> EngineStats {
         let c = &self.counters;
-        let (mut tracked, mut resident_points) = (0u64, 0u64);
+        let (mut tracked, mut resident_points, mut resident_bytes) = (0u64, 0u64, 0u64);
         for shard in &self.shards {
             let guard = shard.lock();
             tracked += guard.states.len() as u64;
-            resident_points += guard
-                .states
-                .values()
-                .map(|s| s.points.len() as u64)
-                .sum::<u64>();
+            for s in guard.states.values() {
+                resident_points += s.stats.len() as u64;
+                resident_bytes += s.resident_bytes() as u64;
+            }
         }
         EngineStats {
             rounds: c.rounds.load(Ordering::Relaxed),
@@ -982,6 +952,7 @@ impl StreamingEngine {
             fallbacks: c.fallbacks.load(Ordering::Relaxed),
             buffer_growth: c.buffer_growth.load(Ordering::Relaxed),
             resident_points,
+            resident_bytes,
         }
     }
 }
@@ -1337,7 +1308,7 @@ mod tests {
     #[test]
     fn stale_sweep_retires_online_detector_state() {
         // Series that leave the scan set must not keep their online state
-        // (points, rolling moments, gap runs) resident forever: the sweep
+        // (values, rolling moments, timestamp runs) resident forever: the sweep
         // retires them and the engine's memory footprint shrinks.
         let store = TsdbStore::new();
         let kept = sid("kept");
@@ -1375,6 +1346,172 @@ mod tests {
             engine.prepare(&orphans[0], 0.5, 0.5),
             Prepared::Fallback
         ));
+    }
+
+    #[test]
+    fn resident_counters_follow_trims_and_resets() {
+        let store = TsdbStore::compressed();
+        let id = sid("s");
+        fill_flat(&store, &id, 2_000);
+        let mut engine = StreamingEngine::new(cfg());
+        // The watermark sits at the start of the data: nothing is trimmed
+        // and every appended point stays resident.
+        begin_round(&mut engine, &store, &[&id], 175);
+        let loaded = engine.stats();
+        assert_eq!(loaded.resident_points, 2_000);
+        // One copy per value: the ring at its power-of-two capacity, a
+        // single timestamp run, no window buffer yet.
+        assert!(loaded.resident_bytes >= 2_000 * 8);
+        assert!(loaded.resident_bytes < 2_048 * 8 + 2_048, "{}", loaded.resident_bytes);
+        // Jumping the watermark trims everything behind the new historic
+        // boundary: the count drops at once, not at some later compaction.
+        begin_round(&mut engine, &store, &[&id], 2_000);
+        assert_eq!(engine.stats().resident_points, 175);
+        // A replacement resets the state to the replacement's scan range.
+        store.insert_series(id.clone(), fbd_tsdb::TimeSeries::from_values(1_900, 1, &[2.0; 100]));
+        begin_round(&mut engine, &store, &[&id], 2_000);
+        let reset = engine.stats();
+        assert_eq!((reset.resets, reset.resident_points), (2, 100));
+        assert!(reset.resident_bytes < loaded.resident_bytes / 8, "{}", reset.resident_bytes);
+    }
+
+    mod columnar {
+        use super::*;
+        use fbd_tsdb::{window_coverage, windows_from_points, TimeSeries};
+        use proptest::prelude::*;
+
+        /// The oracle: the retained points as a plain oriented vector, and
+        /// the absolute index of its first element.
+        struct Oracle {
+            first: u64,
+            live: Vec<DataPoint>,
+        }
+
+        fn orient(id: &SeriesId, p: DataPoint) -> DataPoint {
+            let negate = id.metric == MetricKind::Throughput;
+            DataPoint::new(p.timestamp, if negate { -p.value } else { p.value })
+        }
+
+        proptest! {
+            #[test]
+            fn columnar_state_matches_a_point_vector(
+                ops in prop::collection::vec((0u8..10, 1usize..70, any::<u64>()), 1..14),
+                throughput in any::<bool>(),
+                seal_limit in 0u32..24,
+                top in any::<bool>(),
+            ) {
+                // Random append / trim / reset sequences over NaNs, both
+                // orientations, duplicate timestamps and a gap that changes
+                // at every sample, optionally pushed against `u64::MAX`:
+                // the five partitions, the cadence, the coverage verdict
+                // and the window bytes the columnar state produces must be
+                // those of the plain point vector.
+                let kind = if throughput { MetricKind::Throughput } else { MetricKind::GCpu };
+                let id = SeriesId::new("svc", kind, "s");
+                let config = cfg();
+                let version = SeriesVersion { version: 0, appended: 0 };
+                let mut series = TimeSeries::with_seal_limit(seal_limit);
+                let mut state =
+                    SeriesState::rebuild(&id, version, SeriesColumns::default(), 0, Vec::new(), 0);
+                let mut oracle = Oracle { first: 0, live: Vec::new() };
+                let mut t = if top { u64::MAX - 4_000 } else { 0 };
+                for (round, &(op, k, seed)) in ops.iter().enumerate() {
+                    match op {
+                        // Appends: regular, jittered, duplicate-heavy.
+                        0..=5 => {
+                            let mut tail = Vec::new();
+                            for j in 0..k as u64 {
+                                let z = seed.wrapping_add(j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                                t += match op {
+                                    0 | 1 => 1,
+                                    2 => j % 5,
+                                    3 => (z >> 60) % 4,
+                                    _ => u64::from(j % 3 == 0),
+                                };
+                                let v = if z % 11 == 0 { f64::NAN } else { (z >> 40) as f64 / 1e6 };
+                                series.append(t, v).unwrap();
+                                tail.push(DataPoint::new(t, v));
+                            }
+                            prop_assert!(state.append_tail(&id, &tail));
+                            oracle.live.extend(tail.iter().map(|&p| orient(&id, p)));
+                        }
+                        // Trim to a bound somewhere in the retained span.
+                        6 | 7 => {
+                            let lo = oracle.live.first().map_or(0, |p| p.timestamp);
+                            let bound = lo + seed % (t - lo + 2);
+                            state.trim(bound);
+                            let cut = oracle.live.partition_point(|p| p.timestamp < bound);
+                            oracle.live.drain(..cut);
+                            oracle.first += cut as u64;
+                        }
+                        // Reset from a start inside (or before) the series.
+                        _ => {
+                            let lo = series.first_timestamp().unwrap_or(0);
+                            let start = lo + seed % (t - lo + 2);
+                            let columns = series.columns_from(start);
+                            state = SeriesState::rebuild(&id, version, columns, start, Vec::new(), 0);
+                            oracle = Oracle {
+                                first: 0,
+                                live: series
+                                    .iter()
+                                    .filter(|p| p.timestamp >= start)
+                                    .map(|p| orient(&id, p))
+                                    .collect(),
+                            };
+                        }
+                    }
+                    prop_assert_eq!(state.stats.len(), oracle.live.len());
+                    prop_assert_eq!(state.times.len(), oracle.live.len());
+                    prop_assert_eq!(state.stats.first_index(), oracle.first);
+                    for now in [t, t.saturating_sub(seed % 40), t.saturating_add(30)] {
+                        let extended_start = now.saturating_sub(config.extended);
+                        let analysis_start = extended_start.saturating_sub(config.analysis);
+                        let historic_start = analysis_start.saturating_sub(config.historic);
+                        if historic_start < state.trim_ts {
+                            continue; // `prepare` falls back to the store path
+                        }
+                        let parts = state.partitions(historic_start, analysis_start, extended_start, now);
+                        let pp = |b: Timestamp| {
+                            oracle.first + oracle.live.partition_point(|p| p.timestamp < b) as u64
+                        };
+                        let want = Partitions {
+                            h: pp(historic_start),
+                            a: pp(analysis_start),
+                            e: pp(extended_start),
+                            n: pp(now),
+                            c: pp(now.max(historic_start + 1)),
+                        };
+                        prop_assert_eq!(parts, want);
+                        let span = &oracle.live
+                            [(parts.h - oracle.first) as usize..(parts.c - oracle.first) as usize];
+                        let cadence = span
+                            .windows(2)
+                            .map(|w| w[1].timestamp - w[0].timestamp)
+                            .filter(|&g| g > 0)
+                            .min();
+                        prop_assert_eq!(state.times.min_gap(parts.h + 1, parts.c), cadence);
+                        let coverage = state.coverage(&parts, &config, now);
+                        prop_assert_eq!(coverage, window_coverage(&oracle.live, &config, now));
+                        let mut buffer = Vec::new();
+                        state.fill_window(&parts, &mut buffer);
+                        let bits: Vec<u64> = buffer.iter().map(|v| v.to_bits()).collect();
+                        match windows_from_points(&oracle.live, &config, now) {
+                            Ok(cold) => {
+                                let cold_bits: Vec<u64> = cold.all().iter().map(|v| v.to_bits()).collect();
+                                prop_assert_eq!(bits, cold_bits, "round {} now {}", round, now);
+                                prop_assert_eq!(
+                                    ((parts.a - parts.h) as usize, (parts.e - parts.a) as usize),
+                                    (cold.historic_len(), cold.analysis_len())
+                                );
+                            }
+                            // Exactly the two gates `prepare` answers
+                            // before it ever builds a window.
+                            Err(_) => prop_assert!(parts.a == parts.h || parts.e == parts.a),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn partition<'a>(engine: &StreamingEngine, ids: &[&'a SeriesId]) -> Vec<Vec<&'a SeriesId>> {

@@ -557,6 +557,88 @@ proptest! {
     }
 
     #[test]
+    fn corrupt_block_in_a_reset_range_never_changes_a_scan_outcome(
+        seeds in prop::collection::vec(0u64..1000, 2..4),
+        victim in 0usize..16,
+        cut_frac in 0.0f64..1.0,
+        flip in (0u8..3, any::<usize>(), 0u8..8),
+        appends in 0usize..40,
+    ) {
+        // A sealed block whose payload was truncated (and, two cases in
+        // three, bit-flipped) in memory sits inside the range a Reset
+        // decodes. The column decoder stops where the point decoder stops,
+        // so engine on and engine off read the same points: neither may
+        // panic (debug builds: nor overflow), and while the surviving
+        // timestamps stay ordered — binary searches over disorder are
+        // unspecified — every round's outcome must be identical.
+        let cfg = config(0.05);
+        let store = TsdbStore::with_config(StoreConfig {
+            seal_limit: 32,
+            shard_budget_bytes: None,
+            decode_cache_bytes: 4_096,
+        });
+        let mut ids = Vec::new();
+        let mut frontier = 400u64;
+        for (i, &seed) in seeds.iter().enumerate() {
+            let mut values = noisy_series(frontier as usize, 1.0, 0.1, seed);
+            if i == 1 {
+                values.iter_mut().skip(330).for_each(|v| *v += 0.5);
+            }
+            let kind = if i % 2 == 0 { MetricKind::Throughput } else { MetricKind::GCpu };
+            let id = SeriesId::new("svc", kind, format!("s{i}"));
+            store.insert_series(id.clone(), TimeSeries::from_values(0, 1, &values));
+            ids.push(id);
+        }
+        let mut series = store.get(&ids[0]).unwrap();
+        let idx = victim % series.sealed_block_count();
+        let block = series.sealed_blocks()[idx].clone();
+        let mut bytes = block.payload().to_vec();
+        bytes.truncate((bytes.len() as f64 * cut_frac) as usize);
+        let (flip_sel, flip_pos, flip_bit) = flip;
+        if flip_sel > 0 && !bytes.is_empty() {
+            let pos = flip_pos % bytes.len();
+            bytes[pos] ^= 1 << flip_bit;
+        }
+        series.replace_sealed_block(idx, block.with_payload(bytes));
+        let ordered = series
+            .iter()
+            .zip(series.iter().skip(1))
+            .all(|(a, b)| a.timestamp <= b.timestamp);
+        prop_assert!(series.iter().count() < frontier as usize || flip_sel > 0 || cut_frac > 0.99);
+        store.insert_series(ids[0].clone(), series);
+        let mut warm = Pipeline::new(cfg.clone()).unwrap();
+        let mut cold = Pipeline::new(cfg).unwrap();
+        cold.set_streaming(false);
+        let context = ScanContext {
+            changelog: None,
+            samples: None,
+            graph: None,
+            domain_providers: vec![],
+        };
+        for round in 0..2 {
+            let w = warm.scan(&store, &ids, frontier, &context).unwrap();
+            let c = cold.scan(&store, &ids, frontier, &context).unwrap();
+            prop_assert_eq!((w.health.panicked, c.health.panicked), (0, 0));
+            if ordered {
+                prop_assert_eq!(
+                    format!("{:?}|{:?}|{:?}", w.reports, w.funnel, w.health),
+                    format!("{:?}|{:?}|{:?}", c.reports, c.funnel, c.health),
+                    "engine on and off diverged in round {}", round
+                );
+            }
+            // The second round folds an appended tail onto the state the
+            // corrupt Reset built, one rerun interval later.
+            for (i, id) in ids.iter().enumerate() {
+                for t in frontier..frontier + appends as u64 {
+                    store.append(id, t, noisy_series(1, 1.0, 0.1, (i as u64) << 8 ^ t)[0]).unwrap();
+                }
+            }
+            frontier += 40;
+        }
+        prop_assert!(warm.streaming_stats().unwrap().resets >= seeds.len() as u64);
+    }
+
+    #[test]
     fn tail_incremental_windows_match_cold_extraction(
         seeds in prop::collection::vec(0u64..1000, 2..5),
         chunks in prop::collection::vec((1usize..90, 0u8..10), 3..8),

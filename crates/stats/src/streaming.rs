@@ -30,6 +30,19 @@ use std::collections::VecDeque;
 /// is ~1 and partial-edge scans stay under a cache line burst.
 const BLOCK: u64 = 64;
 
+/// Value capacity a [`RollingStats`] holds for `len` retained samples: the
+/// power of two one-by-one appends would have reached. An exact fit
+/// reallocates to twice the run at the very next append, so bulk loads
+/// ([`RollingStats::extend`], [`RollingStats::adopt`] and whoever allocates
+/// the buffer `adopt` takes over) size to this instead.
+pub fn retained_capacity(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two()
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Block {
     sum: f64,
@@ -98,6 +111,24 @@ impl RollingStats {
         }
     }
 
+    /// Takes over `values` as the retained samples, the first at absolute
+    /// index `start` — bit-identical to [`Self::extend`]ing a new structure
+    /// by them, without writing a single sample again: the vector's
+    /// allocation becomes the ring (resized only when its capacity is not
+    /// [`retained_capacity`] of its length).
+    pub fn adopt(start: u64, mut values: Vec<f64>) -> Self {
+        let capacity = retained_capacity(values.len());
+        if values.capacity() < capacity {
+            values.reserve_exact(capacity - values.len());
+        } else {
+            values.shrink_to(capacity);
+        }
+        let mut s = RollingStats::new(start);
+        s.values = VecDeque::from(values);
+        s.absorb(0, start);
+        s
+    }
+
     /// Cold rebuild: equivalent to appending every sample of `values`
     /// starting at absolute index `start`, but with the pivot imposed.
     /// Ground truth for the incremental maintenance proptests.
@@ -153,13 +184,18 @@ impl RollingStats {
     pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
         let values = values.into_iter();
         let (old_len, old_end) = (self.values.len(), self.end_index());
-        // Grow to the power of two one-by-one appends would have reached:
-        // an exact fit reallocates to twice the run at the very next append.
         let needed = old_len + values.size_hint().0;
         if needed > self.values.capacity() {
-            self.values.reserve_exact(needed.next_power_of_two() - old_len);
+            self.values.reserve_exact(retained_capacity(needed) - old_len);
         }
         self.values.extend(values);
+        self.absorb(old_len, old_end);
+    }
+
+    /// Folds the samples stored since the structure held `old_len` of them
+    /// and ended at absolute index `old_end` into the pivot and the sealed
+    /// blocks.
+    fn absorb(&mut self, old_len: usize, old_end: u64) {
         if self.pivot.is_none() {
             // A block sealed before the first finite sample has nothing to
             // centre, so fixing the pivot once the run is stored is the
@@ -212,6 +248,29 @@ impl RollingStats {
             return None;
         }
         self.values.get((abs - self.first) as usize).copied()
+    }
+
+    /// The retained samples at absolute indices `[a, b)` (clamped to the
+    /// retained range), oldest first, as the two contiguous halves of the
+    /// ring — so a reader copies a window out with two slice copies instead
+    /// of one indexed read per sample.
+    pub fn slices(&self, a: u64, b: u64) -> (&[f64], &[f64]) {
+        let len = self.values.len();
+        let lo = (a.saturating_sub(self.first) as usize).min(len);
+        let hi = (b.saturating_sub(self.first) as usize).clamp(lo, len);
+        let (front, back) = self.values.as_slices();
+        let split = front.len();
+        (
+            &front[lo.min(split)..hi.min(split)],
+            &back[lo.saturating_sub(split)..hi.saturating_sub(split)],
+        )
+    }
+
+    /// Heap bytes held: the sample ring at its capacity plus the sealed
+    /// block sums.
+    pub fn resident_bytes(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<f64>()
+            + self.blocks.capacity() * std::mem::size_of::<Block>()
     }
 
     /// Finite-sample count over absolute index range `[a, b)`, clamped to
@@ -430,6 +489,31 @@ mod tests {
         s.append(3.0);
         assert_eq!(s.get(15), Some(3.0));
         assert_eq!(s.get(14), None);
+    }
+
+    #[test]
+    fn adopt_keeps_the_buffer_and_the_power_of_two_capacity() {
+        let vals: Vec<f64> = (0..900).map(sample).collect();
+        // Sized by the loader: adopted as is, no reallocation.
+        let mut sized = Vec::with_capacity(retained_capacity(900));
+        sized.extend_from_slice(&vals);
+        let at = sized.as_ptr();
+        let s = RollingStats::adopt(0, sized);
+        assert_eq!(s.values.capacity(), 1024);
+        assert_eq!(s.values.as_slices().0.as_ptr(), at);
+        // An exact fit would double on the next append; an oversized buffer
+        // would strand memory: both are brought to the same capacity.
+        for cap in [900, 5000] {
+            let mut v = Vec::with_capacity(cap);
+            v.extend_from_slice(&vals);
+            let mut s = RollingStats::adopt(0, v);
+            assert_eq!(s.values.capacity(), 1024, "from capacity {cap}");
+            s.append(1.0);
+            assert_eq!(s.values.capacity(), 1024);
+        }
+        assert_eq!(RollingStats::adopt(7, Vec::new()).values.capacity(), 0);
+        let (front, back) = s.slices(10, 20);
+        assert_eq!((front, back.len()), (&vals[10..20], 0));
     }
 
     #[test]

@@ -623,4 +623,75 @@ proptest! {
             prop_assert_eq!(im, cm, "mean diverged on [{}, {})", a, b);
         }
     }
+
+    #[test]
+    fn rolling_stats_adopted_by_move_equals_extend_and_appends(
+        raw in prop::collection::vec((0u8..10, -1e6f64..1e6), 0..400),
+        start in 0u64..200,
+        slack in 0usize..3,
+        evict in 0usize..100,
+        tail in prop::collection::vec(-1e6f64..1e6, 0..80),
+    ) {
+        // A Reset hands the engine a value buffer to adopt; taking it over
+        // must be indistinguishable — to the bit, and in the capacity it
+        // retains — from extending or appending the same samples, at once
+        // and after later evictions and appends wrap the ring.
+        use fbd_stats::streaming::{retained_capacity, RollingStats};
+        let values: Vec<f64> = raw
+            .iter()
+            .map(|&(sel, v)| match sel {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                _ => v,
+            })
+            .collect();
+        // Exact fit, already the retained capacity, or oversized.
+        let mut buffer = Vec::with_capacity(match slack {
+            0 => values.len(),
+            1 => retained_capacity(values.len()),
+            _ => 4 * values.len() + 7,
+        });
+        buffer.extend_from_slice(&values);
+        let mut adopted = RollingStats::adopt(start, buffer);
+        let mut extended = RollingStats::new(start);
+        extended.extend(values.iter().copied());
+        let mut appended = RollingStats::new(start);
+        for &v in &values {
+            appended.append(v);
+        }
+        prop_assert_eq!(adopted.resident_bytes(), extended.resident_bytes());
+        if values.len() >= 4 {
+            // One-by-one growth reaches the same power of two.
+            prop_assert_eq!(adopted.resident_bytes(), appended.resident_bytes());
+        }
+        for round in 0..2 {
+            let end = adopted.end_index();
+            let first = adopted.first_index();
+            prop_assert_eq!(adopted.pivot().map(f64::to_bits), extended.pivot().map(f64::to_bits));
+            prop_assert_eq!(adopted.pivot().map(f64::to_bits), appended.pivot().map(f64::to_bits));
+            prop_assert_eq!((first, end), (extended.first_index(), extended.end_index()));
+            prop_assert_eq!((first, end), (appended.first_index(), appended.end_index()));
+            for (a, b) in [(first, end), (first + 1, end.saturating_sub(1)), (start + 63, start + 130), (0, u64::MAX)] {
+                let bits = |s: &RollingStats| {
+                    let m = s.segment_moments(a, b);
+                    let (front, back) = s.slices(a, b);
+                    let window: Vec<u64> = front.iter().chain(back).map(|v| v.to_bits()).collect();
+                    (m.finite, m.sum.to_bits(), m.sum_sq.to_bits(), m.max_dev.to_bits(), window)
+                };
+                prop_assert_eq!(bits(&adopted), bits(&extended), "round {} [{}, {})", round, a, b);
+                prop_assert_eq!(bits(&adopted), bits(&appended), "round {} [{}, {})", round, a, b);
+                // The two-slice view is the indexed view.
+                let want: Vec<u64> = (a.max(first)..b.min(end))
+                    .map(|i| adopted.get(i).unwrap().to_bits())
+                    .collect();
+                prop_assert_eq!(bits(&adopted).4, want);
+            }
+            for s in [&mut adopted, &mut extended, &mut appended] {
+                s.evict_front(evict);
+                for &v in &tail {
+                    s.append(v);
+                }
+            }
+        }
+    }
 }

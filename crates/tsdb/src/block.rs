@@ -58,6 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::columns::TimeRuns;
 use crate::types::{DataPoint, Timestamp};
 
 /// Monotonic process-wide block id source. Every sealed block gets a
@@ -585,6 +586,44 @@ impl SealedBlock {
         }
     }
 
+    /// Bulk column decoder: appends every point from the first one
+    /// timestamped at or after `start` onward to `times` / `values` —
+    /// point for point what `self.iter().skip_while(|p| p.timestamp <
+    /// start)` yields, stopping where [`BlockIter`] stops on a corrupt
+    /// payload — but writing each value once and no timestamp at all for a
+    /// `dod == 0` record, which only lengthens the current run.
+    // fbd-lint::hot
+    pub fn decode_columns(&self, start: Timestamp, times: &mut TimeRuns, values: &mut Vec<f64>) {
+        let mut it = self.iter();
+        // Points emitted so far, and how many `dod == 0` records at the end
+        // of them are not in `times` yet. A repeated gap can only lengthen
+        // the run once the two points it repeats are both in it.
+        let (mut emitted, mut steady) = (0u32, 0u64);
+        for _ in 0..self.summary.count {
+            let Some(repeats) = it.advance() else { break };
+            if emitted == 0 && it.last_ts < start {
+                continue;
+            }
+            if repeats && emitted >= 2 {
+                steady += 1;
+            } else {
+                times.repeat_last_gap(steady);
+                steady = 0;
+                times.push(it.last_ts);
+            }
+            emitted += 1;
+            values.push(f64::from_bits(it.prev_value_bits));
+        }
+        times.repeat_last_gap(steady);
+    }
+
+    /// This block with its payload swapped for `bytes`, summary kept — an
+    /// in-memory corruption. Test hook, like [`SealedBlock::from_raw_parts`].
+    #[doc(hidden)]
+    pub fn with_payload(&self, bytes: Vec<u8>) -> Self {
+        SealedBlock { summary: self.summary, ..Self::from_raw_parts(bytes, self.summary.count) }
+    }
+
     /// Decode every point, appending to `out`.
     pub fn decode_into(&self, out: &mut Vec<DataPoint>) {
         out.reserve(self.summary.count as usize);
@@ -632,15 +671,25 @@ pub struct BlockIter<'a> {
 }
 
 impl BlockIter<'_> {
-    fn step(&mut self) -> Option<DataPoint> {
+    /// Decodes the next point into `last_ts` / `prev_value_bits`. Returns
+    /// whether its timestamp record was `dod == 0` — the gap into the point
+    /// repeats the gap before it (never for the first, raw point).
+    #[inline]
+    fn advance(&mut self) -> Option<bool> {
         if !self.started {
             self.started = true;
             self.last_ts = self.reader.read_long(64)?;
             self.prev_value_bits = self.reader.read_long(64)?;
-        } else {
-            self.last_ts = self.next_timestamp()?;
-            self.prev_value_bits = self.next_value_bits()?;
+            return Some(false);
         }
+        let delta = self.prev_delta;
+        self.last_ts = self.next_timestamp()?;
+        self.prev_value_bits = self.next_value_bits()?;
+        Some(self.prev_delta == delta)
+    }
+
+    fn step(&mut self) -> Option<DataPoint> {
+        self.advance()?;
         Some(DataPoint { timestamp: self.last_ts, value: f64::from_bits(self.prev_value_bits) })
     }
 

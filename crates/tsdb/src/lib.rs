@@ -12,6 +12,7 @@
 
 pub mod aggregate;
 pub mod block;
+pub mod columns;
 pub mod error;
 pub mod scratch;
 pub mod series;
@@ -21,6 +22,7 @@ pub mod types;
 pub mod window;
 
 pub use block::{BlockBuilder, SealedBlock};
+pub use columns::{SeriesColumns, TimeRuns};
 pub use error::TsdbError;
 pub use scratch::ScratchPoints;
 pub use series::TimeSeries;
@@ -30,8 +32,7 @@ pub use store::{
 pub use types::{DataPoint, MetricKind, SeriesId, Timestamp};
 pub use window::{
     snapshot_bounds, window_coverage, window_coverage_from_counts, windows_from_points,
-    windows_from_points_into, windows_from_points_with_coverage, WindowConfig, WindowCoverage,
-    WindowedData,
+    windows_from_points_into, WindowConfig, WindowCoverage, WindowedData,
 };
 
 /// Convenience alias used by fallible routines in this crate.

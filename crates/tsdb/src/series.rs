@@ -17,8 +17,10 @@ use std::borrow::Cow;
 
 use crate::scratch::ScratchPoints;
 use fbd_stats::scratch::ScratchVec;
+use fbd_stats::streaming::retained_capacity;
 
 use crate::block::{BlockSummary, SealedBlock, SUMMARY_BYTES};
+use crate::columns::{SeriesColumns, TimeRuns};
 use crate::types::{DataPoint, Timestamp};
 use crate::window::points_in;
 use crate::{Result, TsdbError};
@@ -301,16 +303,24 @@ impl TimeSeries {
         if start >= end {
             return &[];
         }
-        let lo = self.sealed.partition_point(|b| b.last_timestamp() < start);
-        let hi = lo + self.sealed[lo..].partition_point(|b| b.first_timestamp() < end);
-        &self.sealed[lo..hi]
+        let from = self.blocks_from(start);
+        &from[..from.partition_point(|b| b.first_timestamp() < end)]
+    }
+
+    /// The sealed blocks holding any point at or after `start`: the
+    /// unbounded-`end` half of the [`TimeSeries::range_blocks`] rule.
+    pub(crate) fn blocks_from(&self, start: Timestamp) -> &[SealedBlock] {
+        &self.sealed[self.sealed.partition_point(|b| b.last_timestamp() < start)..]
     }
 
     /// Appends the points with timestamps in `[start, end)` to `out`,
     /// decoding only the sealed blocks that overlap the range.
     // fbd-lint::hot
     pub fn range_into(&self, start: Timestamp, end: Timestamp, out: &mut Vec<DataPoint>) {
-        for block in self.range_blocks(start, end) {
+        let blocks = self.range_blocks(start, end);
+        let head = points_in(&self.head, start, end);
+        out.reserve(blocks.iter().map(|b| b.count() as usize).sum::<usize>() + head.len());
+        for block in blocks {
             if block.first_timestamp() >= start && block.last_timestamp() < end {
                 // Fully inside the range: bulk-decode.
                 block.decode_into(out);
@@ -323,7 +333,30 @@ impl TimeSeries {
                 );
             }
         }
-        out.extend_from_slice(points_in(&self.head, start, end));
+        out.extend_from_slice(head);
+    }
+
+    /// Every point timestamped at or after `start`, as columns decoded
+    /// straight from the sealed blocks: each value is written once, into a
+    /// buffer already sized for `RollingStats::adopt`, and the timestamps
+    /// only ever exist as runs. The copy a [`crate::SeriesDelta::Reset`]
+    /// carries.
+    // fbd-lint::hot
+    pub fn columns_from(&self, start: Timestamp) -> SeriesColumns {
+        let blocks = self.blocks_from(start);
+        let head = &self.head[self.head.partition_point(|p| p.timestamp < start)..];
+        let sealed: usize = blocks.iter().map(|b| b.count() as usize).sum();
+        let mut times = TimeRuns::new();
+        let mut values = Vec::with_capacity(retained_capacity(sealed + head.len()));
+        // Only the first block can hold points before `start`.
+        for block in blocks {
+            block.decode_columns(start, &mut times, &mut values);
+        }
+        for p in head {
+            times.push(p.timestamp);
+            values.push(p.value);
+        }
+        SeriesColumns { times, values }
     }
 
     /// The sealed blocks a tail-`n` read decodes, and how many of their
@@ -412,6 +445,15 @@ impl TimeSeries {
     /// inspect summaries but never mutate sealed history.
     pub fn sealed_blocks(&self) -> &[SealedBlock] {
         &self.sealed
+    }
+
+    /// Swaps sealed block `idx` for `block`, counters untouched. Test hook
+    /// for the corrupt-block contracts (see [`SealedBlock::with_payload`]):
+    /// production blocks only ever come from sealing the head.
+    #[doc(hidden)]
+    pub fn replace_sealed_block(&mut self, idx: usize, block: SealedBlock) {
+        self.sealed_bytes = self.sealed_bytes - self.sealed[idx].byte_len() + block.byte_len();
+        self.sealed[idx] = block;
     }
 
     /// Seal-time summaries of the sealed blocks, oldest first — the

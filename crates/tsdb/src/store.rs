@@ -1,6 +1,7 @@
 //! Concurrent store mapping series ids to time series.
 
 use crate::block::SealedBlock;
+use crate::columns::SeriesColumns;
 use crate::scratch::ScratchPoints;
 use crate::series::TimeSeries;
 use crate::types::{DataPoint, SeriesId, Timestamp};
@@ -45,7 +46,7 @@ pub enum SeriesDelta {
         /// the per-thread pool).
         tail: ScratchPoints,
     },
-    /// Anything else (expiry, replacement, first observation): `points`
+    /// Anything else (expiry, replacement, first observation): `columns`
     /// holds everything from the scan range start onward — including points
     /// timestamped at or after `now` (ingestion running ahead of the scan
     /// watermark) — so a consumer that extends the copy with later
@@ -53,9 +54,10 @@ pub enum SeriesDelta {
     Reset {
         /// Counters at snapshot time.
         version: SeriesVersion,
-        /// All points from `snapshot_bounds(config, now).0` onward, in a
-        /// recycled [`ScratchPoints`] buffer.
-        points: ScratchPoints,
+        /// All points from `snapshot_bounds(config, now).0` onward, decoded
+        /// straight from the sealed blocks ([`TimeSeries::columns_from`]):
+        /// the reader keeps this copy, so it bypasses the decode cache.
+        columns: SeriesColumns,
     },
 }
 
@@ -84,9 +86,10 @@ pub struct StoreConfig {
     pub shard_budget_bytes: Option<usize>,
     /// Per-shard byte budget for the decoded-block cache (16 bytes per
     /// cached point); 0 disables caching entirely. The cache serves repeat
-    /// decodes on every read path that revisits the same sealed blocks —
-    /// window extraction, batch snapshots and delta-snapshot tail/reset
-    /// copies — and is accounted separately from `shard_budget_bytes`
+    /// decodes on the read paths that revisit the same sealed blocks —
+    /// window extraction, batch snapshots and delta-snapshot tail copies;
+    /// a delta-snapshot reset copy is read once and kept by its reader, so
+    /// it never enters — and is accounted separately from `shard_budget_bytes`
     /// (`ShardStats::decode_cache_bytes`): it is a read accelerator, not
     /// stored data, and evicting it never loses points.
     pub decode_cache_bytes: usize,
@@ -160,9 +163,10 @@ pub struct ShardStats {
 pub struct StoreStats {
     /// Per-shard breakdown, indexed by shard number.
     pub shards: Vec<ShardStats>,
-    /// Sealed blocks decoded without the decode cache — every window and
-    /// snapshot read of a store whose cache is disabled, and none
-    /// otherwise — counted from summaries without touching the payloads.
+    /// Sealed blocks decoded without the decode cache — every
+    /// [`SeriesDelta::Reset`] copy, plus every window and snapshot read of
+    /// a store whose cache is disabled — counted from summaries without
+    /// touching the payloads.
     pub direct_blocks_decoded: u64,
 }
 
@@ -365,30 +369,27 @@ fn range_via_cache(
 }
 
 /// How a shard read turns sealed blocks into points. Only
-/// [`TsdbStore::read_shard`] builds one, so the choice between the two
-/// modes is made in one place; the points copied out are bit-identical in
-/// both.
-enum BlockReads<'a> {
-    /// Through the shard's decode cache (the shard is write-locked).
-    Cached {
-        decode: &'a mut DecodeCache,
-        budget: usize,
-    },
-    /// Decoded directly and tallied into
+/// [`TsdbStore::read_shard`] builds one, so the choice between the cached
+/// and the direct mode is made in one place; the points copied out are
+/// bit-identical in both.
+struct BlockReads<'a> {
+    /// The shard's decode cache and its byte budget (the shard is
+    /// write-locked); `None` decodes directly (the shard is read-locked).
+    cache: Option<(&'a mut DecodeCache, usize)>,
+    /// Direct decodes are tallied into
     /// [`StoreStats::direct_blocks_decoded`] from summaries, so the tally
-    /// itself never decodes (the shard is read-locked).
-    Direct { decoded: &'a AtomicU64 },
+    /// itself never decodes.
+    direct: &'a AtomicU64,
 }
 
 impl BlockReads<'_> {
     /// The points of `series` in `[start, end)`.
     fn range(&mut self, series: &TimeSeries, start: Timestamp, end: Timestamp) -> ScratchPoints {
-        match self {
-            BlockReads::Cached { decode, budget } => {
-                range_via_cache(series, decode, *budget, start, end)
-            }
-            BlockReads::Direct { decoded } => {
-                decoded.fetch_add(series.overlapping_block_count(start, end), Ordering::Relaxed);
+        match &mut self.cache {
+            Some((decode, budget)) => range_via_cache(series, decode, *budget, start, end),
+            None => {
+                self.direct
+                    .fetch_add(series.overlapping_block_count(start, end), Ordering::Relaxed);
                 series.range_scratch(start, end)
             }
         }
@@ -396,13 +397,21 @@ impl BlockReads<'_> {
 
     /// The last `n` points of `series`.
     fn tail(&mut self, series: &TimeSeries, n: usize) -> ScratchPoints {
-        match self {
-            BlockReads::Cached { decode, budget } => tail_via_cache(series, decode, *budget, n),
-            BlockReads::Direct { decoded } => {
-                decoded.fetch_add(series.tail_block_count(n), Ordering::Relaxed);
+        match &mut self.cache {
+            Some((decode, budget)) => tail_via_cache(series, decode, *budget, n),
+            None => {
+                self.direct.fetch_add(series.tail_block_count(n), Ordering::Relaxed);
                 series.tail_scratch(n)
             }
         }
+    }
+
+    /// Every point of `series` from `start` onward as columns — always a
+    /// direct decode: the copy is read once and kept by the reader, so
+    /// admitting its blocks would only push re-read ones out.
+    fn columns(&mut self, series: &TimeSeries, start: Timestamp) -> SeriesColumns {
+        self.direct.fetch_add(series.blocks_from(start).len() as u64, Ordering::Relaxed);
+        series.columns_from(start)
     }
 }
 
@@ -436,7 +445,7 @@ fn classify_delta(
         }
         _ => SeriesDelta::Reset {
             version: current,
-            points: reads.range(series, start, Timestamp::MAX),
+            columns: reads.columns(series, start),
         },
     }
 }
@@ -764,22 +773,24 @@ impl TsdbStore {
     /// (`decode_cache_bytes > 0`, which [`StoreConfig::compressed`] sets)
     /// the lock is taken in **write** mode and sealed blocks are served
     /// from, and retained in, the shard's cache, so overlapping windows and
-    /// later rounds decode each block once. Without one the lock is taken
-    /// in **read** mode and blocks are decoded directly and counted.
+    /// later rounds decode each block once (a reset copy,
+    /// [`BlockReads::columns`], decodes directly in either mode). Without
+    /// one the lock is taken in **read** mode and blocks are decoded
+    /// directly and counted.
     fn read_shard<R>(
         &self,
         shard: &OrderedRwLock<Shard>,
         f: impl FnOnce(&BTreeMap<SeriesId, TimeSeries>, &mut BlockReads<'_>) -> R,
     ) -> R {
         let budget = self.config.decode_cache_bytes;
+        let direct = &self.direct_blocks_decoded;
         if budget > 0 {
             let mut guard = shard.write();
             let Shard { map, decode, .. } = &mut *guard;
-            f(map, &mut BlockReads::Cached { decode, budget })
+            f(map, &mut BlockReads { cache: Some((decode, budget)), direct })
         } else {
             let guard = shard.read();
-            let decoded = &self.direct_blocks_decoded;
-            f(&guard.map, &mut BlockReads::Direct { decoded })
+            f(&guard.map, &mut BlockReads { cache: None, direct })
         }
     }
 
@@ -1048,8 +1059,8 @@ mod tests {
         let mut known = Vec::new();
         for d in &first {
             match d {
-                SeriesDelta::Reset { version, points } => {
-                    assert!(!points.is_empty());
+                SeriesDelta::Reset { version, columns } => {
+                    assert!(!columns.values.is_empty());
                     known.push(Some(*version));
                 }
                 other => panic!("expected Reset, got {other:?}"),

@@ -249,7 +249,9 @@ impl WindowedData {
 fn estimate_cadence(points: &[DataPoint]) -> Option<u64> {
     points
         .windows(2)
-        .map(|w| w[1].timestamp - w[0].timestamp)
+        // Wrapping, like the block summaries' gaps: only a corrupt block
+        // decodes to out-of-order timestamps, and it must not overflow.
+        .map(|w| w[1].timestamp.wrapping_sub(w[0].timestamp))
         .filter(|&gap| gap > 0)
         .min()
 }
@@ -290,10 +292,9 @@ fn coverage_fraction(present: usize, window_seconds: u64, cadence: Option<u64>) 
 
 /// Coverage of the three detection windows for a scan at `now`, computed
 /// from a time-ordered point slice without building window buffers. This is
-/// the exact coverage [`windows_from_points_into`] attaches to its result —
-/// the streaming engine's online-advance path calls it directly so the
-/// `partial` flag it replays is bit-identical to what a cold scan would have
-/// produced.
+/// the exact coverage [`windows_from_points_into`] attaches to its result;
+/// the streaming engine reaches the same value without the timestamps
+/// through [`window_coverage_from_counts`].
 pub fn window_coverage(
     points: &[DataPoint],
     config: &WindowConfig,
@@ -323,10 +324,11 @@ pub fn window_coverage(
 
 /// [`window_coverage`] from precomputed region point counts and an
 /// externally maintained cadence (the minimum positive timestamp gap over
-/// the scan range). The streaming engine's online-advance path already
-/// knows every region's point count from its partition bookkeeping and
-/// tracks the minimum gap incrementally per append, so it can produce the
-/// `partial` flag without rescanning the window's timestamps. Bit-identical
+/// the scan range). The streaming engine already knows every region's
+/// point count from its partition bookkeeping and reads the minimum gap off
+/// its timestamp runs ([`crate::TimeRuns::min_gap`]), so it produces the
+/// coverage of fresh and replayed windows alike without rescanning the
+/// window's timestamps. Bit-identical
 /// to [`window_coverage`] given matching counts and cadence: both feed the
 /// same `coverage_fraction`.
 pub fn window_coverage_from_counts(
@@ -404,40 +406,7 @@ pub fn windows_from_points_into(
     points: &[DataPoint],
     config: &WindowConfig,
     now: Timestamp,
-    values: Vec<f64>,
-) -> Result<WindowedData> {
-    build_windows(points, config, now, values, None)
-}
-
-/// [`windows_from_points_into`] with a precomputed [`WindowCoverage`], for
-/// callers that already know the verdict without rescanning timestamps.
-/// The streaming engine's fresh-scan arm derives it from its partition
-/// bookkeeping and incremental gap runs via
-/// [`window_coverage_from_counts`] — bit-identical to what
-/// [`window_coverage`] would recompute over `points`, which is the
-/// contract: the caller MUST supply exactly that value, or warm and cold
-/// scans of the same data diverge.
-// fbd-lint::hot
-pub fn windows_from_points_with_coverage(
-    points: &[DataPoint],
-    config: &WindowConfig,
-    now: Timestamp,
-    values: Vec<f64>,
-    coverage: WindowCoverage,
-) -> Result<WindowedData> {
-    build_windows(points, config, now, values, Some(coverage))
-}
-
-/// Shared body of the two extraction entry points: partition, validate,
-/// fill the contiguous buffer, then attach the supplied coverage or
-/// rescan for it.
-// fbd-lint::hot
-fn build_windows(
-    points: &[DataPoint],
-    config: &WindowConfig,
-    now: Timestamp,
     mut values: Vec<f64>,
-    coverage: Option<WindowCoverage>,
 ) -> Result<WindowedData> {
     config.validate()?;
     let extended_start = now.saturating_sub(config.extended);
@@ -460,17 +429,13 @@ fn build_windows(
     values.extend(historic.iter().map(|p| p.value));
     values.extend(analysis.iter().map(|p| p.value));
     values.extend(extended.iter().map(|p| p.value));
-    let coverage = match coverage {
-        Some(c) => c,
-        None => window_coverage(points, config, now),
-    };
     Ok(WindowedData::from_parts(
         values,
         historic.len(),
         analysis.len(),
         analysis_start,
         analysis_end,
-        coverage,
+        window_coverage(points, config, now),
     ))
 }
 

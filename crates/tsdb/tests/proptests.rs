@@ -3,7 +3,7 @@
 use fbd_tsdb::aggregate::{aligned_mean, mean_of_series};
 use fbd_tsdb::window::{extract_windows, WindowConfig};
 use fbd_tsdb::{
-    BlockBuilder, DataPoint, MetricKind, SealedBlock, SeriesDelta, SeriesId, StoreConfig,
+    BlockBuilder, DataPoint, MetricKind, SealedBlock, SeriesDelta, SeriesId, StoreConfig, TimeRuns,
     TimeSeries, TsdbStore,
 };
 use proptest::prelude::*;
@@ -221,6 +221,7 @@ proptest! {
         flip_sel in 0u8..4,
         flip_pos in any::<usize>(),
         flip_bit in 0u8..8,
+        start_sel in any::<u64>(),
     ) {
         let block = SealedBlock::from_points(&points);
         let mut bytes = block.payload().to_vec();
@@ -242,7 +243,110 @@ proptest! {
             .reference_iter()
             .map(|p| (p.timestamp, p.value.to_bits()))
             .collect();
-        prop_assert_eq!(word, legacy);
+        prop_assert_eq!(&word, &legacy);
+        // The column decoder stops exactly where they stop, from any start
+        // (garbage timestamps included: its arithmetic wraps like theirs).
+        let starts = [0, start_sel, word.get(word.len() / 2).map_or(1, |p| p.0), u64::MAX];
+        for start in starts {
+            let mut times = TimeRuns::new();
+            let mut values = Vec::new();
+            corrupt.decode_columns(start, &mut times, &mut values);
+            let columns: Vec<(u64, u64)> = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (times.get(i as u64).unwrap(), v.to_bits()))
+                .collect();
+            let want: Vec<(u64, u64)> =
+                word.iter().copied().skip_while(|p| p.0 < start).collect();
+            prop_assert_eq!(times.len(), values.len());
+            prop_assert_eq!(columns, want, "start {}", start);
+        }
+    }
+
+    #[test]
+    fn time_runs_match_a_timestamp_vector(
+        points in wild_points(300),
+        extremes in any::<bool>(),
+        trims in prop::collection::vec((0usize..300, 0usize..40), 0..4),
+        probes in prop::collection::vec(any::<u64>(), 8),
+    ) {
+        // Duplicates, changing gaps and huge jumps come from `wild_points`;
+        // `extremes` pushes the whole sequence against `u64::MAX`. After
+        // every trim-then-append step the runs must answer exactly what
+        // the plain timestamp vector answers.
+        let mut ts: Vec<u64> = points.iter().map(|p| p.timestamp).collect();
+        if extremes {
+            let shift = u64::MAX - ts.last().copied().unwrap_or(0);
+            ts.iter_mut().for_each(|t| *t += shift);
+        }
+        let mut runs = TimeRuns::new();
+        let mut fed = 0usize;
+        let mut first = 0usize;
+        let mut steps: Vec<(usize, usize)> = trims.clone();
+        steps.push((0, ts.len()));
+        for (trim_to, feed) in steps {
+            first = first.max(trim_to.min(fed));
+            runs.trim(first as u64);
+            for &t in &ts[fed..(fed + feed).min(ts.len())] {
+                runs.push(t);
+            }
+            fed = (fed + feed).min(ts.len());
+            let live = &ts[first..fed];
+            prop_assert_eq!((runs.first_index(), runs.end_index()), (first as u64, fed as u64));
+            prop_assert_eq!(runs.last(), live.last().copied());
+            for (i, &t) in live.iter().enumerate() {
+                prop_assert_eq!(runs.get((first + i) as u64), Some(t));
+            }
+            let around = live.iter().flat_map(|&t| [t.saturating_sub(1), t, t.saturating_add(1)]);
+            for t in around.chain(probes.iter().copied()) {
+                let want = first + live.partition_point(|&p| p < t);
+                prop_assert_eq!(runs.partition_point(t), want as u64, "partition at {}", t);
+            }
+            for &(a, b) in &[(0usize, fed), (first, fed), (first + live.len() / 3, fed - live.len() / 4)] {
+                let want = (a.max(first + 1)..b).map(|j| ts[j] - ts[j - 1]).filter(|&g| g > 0).min();
+                prop_assert_eq!(runs.min_gap(a as u64, b as u64), want, "min_gap [{}, {})", a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn reset_columns_match_the_range_copy(
+        points in wild_points(300),
+        seal_limit in 0u32..40,
+        start_sel in any::<u64>(),
+    ) {
+        // What a Reset hands the engine (columns decoded straight from the
+        // sealed blocks) is what the point-wise read returns from `start`
+        // onward, for any representation and any start — including starts
+        // inside a block and past the last point.
+        let mut series = TimeSeries::with_seal_limit(seal_limit);
+        for p in &points {
+            series.append(p.timestamp, p.value).unwrap();
+        }
+        let last = points.last().map_or(0, |p| p.timestamp);
+        for start in [0, start_sel % (last + 2), last, last + 1] {
+            let columns = series.columns_from(start);
+            let want: Vec<(u64, u64)> = series
+                .iter()
+                .filter(|p| p.timestamp >= start)
+                .map(|p| (p.timestamp, p.value.to_bits()))
+                .collect();
+            let got: Vec<(u64, u64)> = columns
+                .values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (columns.times.get(i as u64).unwrap(), v.to_bits()))
+                .collect();
+            prop_assert_eq!(columns.times.len(), columns.values.len());
+            prop_assert_eq!(got, want, "start {}", start);
+            // Run structure is canonical: the same timestamps pushed one by
+            // one build the same runs the decoder's repeat shortcut builds.
+            let mut pushed = TimeRuns::new();
+            for p in series.iter().filter(|p| p.timestamp >= start) {
+                pushed.push(p.timestamp);
+            }
+            prop_assert_eq!(&columns.times, &pushed);
+        }
     }
 
     #[test]
@@ -308,9 +412,9 @@ proptest! {
             total += chunk;
             let deltas = store.snapshot_deltas(&[&id], &[known], &cfg, t * 60);
             match &deltas[0] {
-                SeriesDelta::Reset { version, points } if i == 0 => {
+                SeriesDelta::Reset { version, columns } if i == 0 => {
                     // First observation: full copy.
-                    prop_assert_eq!(points.len(), total);
+                    prop_assert_eq!((columns.values.len(), columns.times.len()), (total, total));
                     known = Some(*version);
                 }
                 SeriesDelta::Appended { version, tail } => {
