@@ -4,10 +4,9 @@
 //! retained bit-at-a-time legacy decoder ([`SealedBlock::reference_iter`])
 //! across the workload shapes the store actually sees: steady cadence,
 //! NaN bursts, and irregular cadence with timestamp jumps and repeated
-//! values. `decode_bench` (a plain binary) produces the committed
-//! `decode_ns_per_point` numbers in `BENCH_pipeline.json`; this harness
-//! is for interactive before/after comparisons with criterion's
-//! statistics.
+//! values. The per-PR number is perfbench's
+//! `tsdb.block.decode_ns_per_point`; this harness is for interactive
+//! before/after comparisons with criterion's statistics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fbd_bench::{decode_fixture, DECODE_SHAPES, DECODE_SIZES};

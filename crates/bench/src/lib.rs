@@ -9,129 +9,11 @@
 #![forbid(unsafe_code)]
 
 use fbd_fleet::scenarios::{LabelledSeries, SeriesLabel};
-use fbd_ingest::pipeline::{IngestConfig, IngestPipeline};
-use fbd_ingest::quota::QuotaConfig;
-use fbd_ingest::wire::{encode_batch, SampleBatch};
 use fbd_tsdb::{MetricKind, SeriesId, StoreConfig, TimeSeries, TsdbStore, WindowConfig};
 use fbdetect_core::{DetectorConfig, Threshold};
-use std::sync::Arc;
 
 /// Sample cadence used by the scaled-down experiments (seconds).
 pub const CADENCE: u64 = 60;
-
-/// Whether `INGEST=1` asks the harness to build stores through the
-/// staged ingest front-end instead of direct `insert_series` loops.
-pub fn ingest_enabled() -> bool {
-    std::env::var("INGEST").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Whether `COMPRESS=1` asks the harness to build Gorilla-compressed
-/// stores (sealed immutable blocks behind a small mutable head) instead
-/// of plain point vectors. Scan results are byte-identical either way;
-/// only the resident footprint changes.
-pub fn compress_enabled() -> bool {
-    std::env::var("COMPRESS").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Storage policy selected by the environment: `COMPRESS=1` turns on
-/// sealed-block compression, and `SHARD_BUDGET_MB=<n>` additionally caps
-/// each store shard's resident bytes (oldest sealed blocks are evicted
-/// past the cap).
-pub fn store_config_from_env() -> StoreConfig {
-    let mut config = if compress_enabled() {
-        StoreConfig::compressed()
-    } else {
-        StoreConfig::default()
-    };
-    if let Some(mb) = std::env::var("SHARD_BUDGET_MB")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        config.shard_budget_bytes = Some(mb * 1024 * 1024);
-    }
-    config
-}
-
-/// Series per wire batch when slicing a suite for ingestion; bounded by
-/// the wire format's `u16` dictionary index.
-const INGEST_SERIES_CHUNK: usize = 4_096;
-/// Samples per series per wire batch. The slice's time span
-/// (`8 × CADENCE = 480 s`) stays inside the validator's default 900 s
-/// late slack, so punctual suite data is never misread as late.
-const INGEST_SAMPLE_CHUNK: usize = 8;
-
-/// Loads a labelled suite by replaying it through the full ingest
-/// front-end — wire encode, decode, validation, quota, sharded append —
-/// instead of direct `insert_series`. Store contents are point-for-point
-/// identical to [`load_suite`]; panics if the pipeline sheds or loses
-/// anything (clean punctual data must be admitted in full).
-pub fn load_suite_via_ingest(
-    suite: &[LabelledSeries],
-    service: &str,
-    metric: MetricKind,
-) -> (Arc<TsdbStore>, Vec<SeriesId>) {
-    let store = Arc::new(TsdbStore::with_config(store_config_from_env()));
-    let ids: Vec<SeriesId> = (0..suite.len())
-        .map(|i| SeriesId::new(service, metric, format!("s{i:05}")))
-        .collect();
-    let config = IngestConfig {
-        // Store building is replay, not admission control: an unbounded
-        // bucket keeps the loaded store byte-identical to `load_suite`.
-        quota: QuotaConfig {
-            burst: u64::MAX / 2,
-            points_per_sec: 0,
-        },
-        ..IngestConfig::default()
-    };
-    let pipeline = IngestPipeline::new(Arc::clone(&store), config);
-    for series_lo in (0..suite.len()).step_by(INGEST_SERIES_CHUNK) {
-        let series_hi = (series_lo + INGEST_SERIES_CHUNK).min(suite.len());
-        let len = suite[series_lo..series_hi]
-            .iter()
-            .map(|s| s.values.len())
-            .max()
-            .unwrap_or(0);
-        for lo in (0..len).step_by(INGEST_SAMPLE_CHUNK) {
-            let hi = (lo + INGEST_SAMPLE_CHUNK).min(len);
-            let mut batch = SampleBatch::new("bench", hi as u64 * CADENCE);
-            for (i, s) in suite[series_lo..series_hi].iter().enumerate() {
-                for j in lo..hi.min(s.values.len()) {
-                    batch
-                        .push(&ids[series_lo + i], j as u64 * CADENCE, s.values[j])
-                        .expect("suite slice fits the wire format");
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            let raw = encode_batch(&batch).expect("suite batch encodes");
-            pipeline.submit(raw).expect("ingest pipeline alive");
-        }
-    }
-    let stats = pipeline.finish();
-    assert!(stats.is_accounted(), "ingest accounting broken: {stats:?}");
-    assert_eq!(
-        stats.points_appended, stats.points_submitted,
-        "clean suite data was shed during ingest: {stats:?}"
-    );
-    (store, ids)
-}
-
-/// Builds the suite store either directly or through the ingest
-/// front-end, per `via_ingest` (typically [`ingest_enabled`]).
-pub fn load_suite_store(
-    suite: &[LabelledSeries],
-    service: &str,
-    metric: MetricKind,
-    via_ingest: bool,
-) -> (Arc<TsdbStore>, Vec<SeriesId>) {
-    if via_ingest {
-        load_suite_via_ingest(suite, service, metric)
-    } else {
-        let (store, ids) = load_suite(suite, service, metric);
-        (Arc::new(store), ids)
-    }
-}
 
 /// The standard scaled-down window split for suite series of length `len`:
 /// 2/3 historic, 2/9 analysis, 1/9 extended.
@@ -150,26 +32,17 @@ pub fn suite_config(len: usize, threshold: Threshold) -> DetectorConfig {
     DetectorConfig::new("bench", suite_windows(len), threshold)
 }
 
-/// Loads a labelled suite into a fresh store under the environment's
-/// storage policy ([`store_config_from_env`]); series are named
-/// `s<index>` under the given service, with the given metric kind.
-/// Returns the ids in suite order.
+/// Loads a labelled suite into a fresh Gorilla-compressed store (the
+/// storage policy every perfbench workload runs on; scan results are
+/// byte-identical to a plain store's). Series are named `s<index>` under
+/// the given service, with the given metric kind. Returns the ids in
+/// suite order.
 pub fn load_suite(
     suite: &[LabelledSeries],
     service: &str,
     metric: MetricKind,
 ) -> (TsdbStore, Vec<SeriesId>) {
-    load_suite_with_config(suite, service, metric, store_config_from_env())
-}
-
-/// [`load_suite`] with an explicit storage policy.
-pub fn load_suite_with_config(
-    suite: &[LabelledSeries],
-    service: &str,
-    metric: MetricKind,
-    config: StoreConfig,
-) -> (TsdbStore, Vec<SeriesId>) {
-    let store = TsdbStore::with_config(config);
+    let store = TsdbStore::with_config(StoreConfig::compressed());
     let mut ids = Vec::with_capacity(suite.len());
     for (i, s) in suite.iter().enumerate() {
         let id = SeriesId::new(service, metric, format!("s{i:05}"));
@@ -263,19 +136,19 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// The three decoder workload shapes the decode micro-benchmarks run:
+/// The three decoder workload shapes the `decode` criterion bench runs:
 /// steady cadence with smoothly varying finite values (the common case),
 /// the same cadence with NaN bursts (fault-window traffic), and irregular
 /// cadence with repeated values and timestamp jumps (every delta-of-delta
 /// and XOR escape class).
 pub const DECODE_SHAPES: [&str; 3] = ["steady", "nan_burst", "irregular"];
 
-/// Block sizes the decode micro-benchmarks sweep: a small partial block,
+/// Block sizes the `decode` criterion bench sweeps: a small partial block,
 /// the suite's standard series length, and a large block.
 pub const DECODE_SIZES: [usize; 3] = [128, 900, 4096];
 
-/// Deterministic point fixture for the decoder benchmarks; `shape` is one
-/// of [`DECODE_SHAPES`].
+/// Deterministic point fixture for the `decode` criterion bench; `shape`
+/// is one of [`DECODE_SHAPES`].
 pub fn decode_fixture(shape: &str, n: usize) -> Vec<fbd_tsdb::DataPoint> {
     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (n as u64) << 7;
     let mut next = move || {
@@ -362,32 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn ingest_built_store_matches_direct() {
-        let cfg = SuiteConfig {
-            clean: 3,
-            regressions: 1,
-            gradual: 0,
-            transients: 1,
-            seasonal: 0,
-            len: 120,
-            ..Default::default()
-        };
-        let suite = labelled_suite(&cfg, 9).unwrap();
-        let (direct, direct_ids) = load_suite(&suite, "svc", MetricKind::GCpu);
-        let (wired, wired_ids) = load_suite_via_ingest(&suite, "svc", MetricKind::GCpu);
-        assert_eq!(direct_ids, wired_ids);
-        for id in &direct_ids {
-            let a = direct.get(id).unwrap();
-            let b = wired.get(id).unwrap();
-            assert_eq!(a.len(), b.len(), "{id:?}");
-            for (pa, pb) in a.iter().zip(b.iter()) {
-                assert_eq!(pa.timestamp, pb.timestamp, "{id:?}");
-                assert_eq!(pa.value.to_bits(), pb.value.to_bits(), "{id:?}");
-            }
-        }
-    }
-
-    #[test]
     fn compressed_suite_store_matches_plain_and_shrinks() {
         let cfg = SuiteConfig {
             clean: 4,
@@ -399,11 +246,11 @@ mod tests {
             ..Default::default()
         };
         let suite = labelled_suite(&cfg, 5).unwrap();
-        let (plain, ids) =
-            load_suite_with_config(&suite, "svc", MetricKind::GCpu, StoreConfig::default());
-        let (packed, packed_ids) =
-            load_suite_with_config(&suite, "svc", MetricKind::GCpu, StoreConfig::compressed());
-        assert_eq!(ids, packed_ids);
+        let (packed, ids) = load_suite(&suite, "svc", MetricKind::GCpu);
+        let plain = TsdbStore::with_config(StoreConfig::default());
+        for (id, s) in ids.iter().zip(&suite) {
+            plain.insert_series(id.clone(), TimeSeries::from_values(0, CADENCE, &s.values));
+        }
         for id in &ids {
             let a = plain.get(id).unwrap();
             let b = packed.get(id).unwrap();
@@ -422,6 +269,20 @@ mod tests {
             "suite data should compress well below raw: {:.2} B/pt",
             cs.bytes_per_point()
         );
+    }
+
+    #[test]
+    fn word_decoder_matches_reference_on_every_decode_fixture() {
+        let bits = |p: fbd_tsdb::DataPoint| (p.timestamp, p.value.to_bits());
+        for shape in DECODE_SHAPES {
+            for n in DECODE_SIZES {
+                let block = fbd_tsdb::SealedBlock::from_points(&decode_fixture(shape, n));
+                assert_eq!(block.count() as usize, n, "{shape}/{n}");
+                let word: Vec<(u64, u64)> = block.iter().map(bits).collect();
+                let reference: Vec<(u64, u64)> = block.reference_iter().map(bits).collect();
+                assert_eq!(word, reference, "{shape}/{n}: decoders diverged");
+            }
+        }
     }
 
     #[test]

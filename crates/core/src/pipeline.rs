@@ -218,11 +218,6 @@ impl Pipeline {
         self.cache.stats()
     }
 
-    /// Resets the artifact cache's hit/miss counters (entries are kept).
-    pub fn reset_cache_stats(&self) {
-        self.cache.reset_stats()
-    }
-
     /// Enables or disables the streaming incremental scan engine.
     /// Disabling drops all engine state; re-enabling starts cold. Scan
     /// decisions, reports, and fault messages are identical either way —

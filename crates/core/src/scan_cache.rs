@@ -222,13 +222,6 @@ impl ScanCache {
         }
     }
 
-    /// Resets the hit/miss/eviction counters (entries are kept).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evicted.store(0, Ordering::Relaxed);
-    }
-
     /// Number of series with at least one cached artifact.
     pub fn len(&self) -> usize {
         self.inner.lock().len()

@@ -132,16 +132,6 @@ impl IngestStats {
                 + self.append_rejected
                 + self.internal_error_points
     }
-
-    /// Fraction of submitted points shed for any reason (ingress, quota,
-    /// late); 0 when nothing was submitted.
-    pub fn shed_rate(&self) -> f64 {
-        if self.points_submitted == 0 {
-            return 0.0;
-        }
-        let shed = self.points_shed + self.quota_shed_points + self.late_shed_points;
-        shed as f64 / self.points_submitted as f64
-    }
 }
 
 #[derive(Debug, Default)]

@@ -16,7 +16,6 @@
 use std::borrow::Cow;
 
 use crate::scratch::ScratchPoints;
-use fbd_stats::scratch::ScratchVec;
 use fbd_stats::streaming::retained_capacity;
 
 use crate::block::{BlockSummary, SealedBlock, SUMMARY_BYTES};
@@ -236,8 +235,7 @@ impl TimeSeries {
     }
 
     /// All values, in timestamp order, as a fresh allocation. Hot readers
-    /// should prefer [`TimeSeries::iter`] or
-    /// [`TimeSeries::values_scratch`].
+    /// should prefer [`TimeSeries::iter`].
     pub fn values(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len());
         self.values_into(&mut out);
@@ -248,15 +246,6 @@ impl TimeSeries {
     pub fn values_into(&self, out: &mut Vec<f64>) {
         out.reserve(self.len());
         out.extend(self.iter().map(|p| p.value));
-    }
-
-    /// All values decoded into a recycled thread-local
-    /// [`ScratchVec`] arena — the allocation-free
-    /// variant of [`TimeSeries::values`] for per-round hot readers.
-    pub fn values_scratch(&self) -> ScratchVec {
-        let mut out = ScratchVec::with_capacity(self.len());
-        out.extend(self.iter().map(|p| p.value));
-        out
     }
 
     /// Timestamp of the first point.
@@ -905,16 +894,6 @@ mod tests {
             tail.iter().map(|p| p.timestamp).collect::<Vec<_>>(),
             vec![5, 6, 7, 8, 9]
         );
-    }
-
-    #[test]
-    fn values_scratch_matches_values() {
-        let mut s = TimeSeries::with_seal_limit(4);
-        for i in 0..11 {
-            s.append(i, (i as f64).cos()).unwrap();
-        }
-        let scratch = s.values_scratch();
-        assert_eq!(&*scratch, s.values().as_slice());
     }
 
     #[test]

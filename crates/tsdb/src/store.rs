@@ -227,12 +227,6 @@ impl StoreStats {
         self.shards.iter().map(|s| s.decode_cache_evictions).sum()
     }
 
-    /// Total bytes currently held by the decode caches (outside
-    /// [`StoreStats::resident_bytes`]).
-    pub fn decode_cache_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.decode_cache_bytes).sum()
-    }
-
     /// Resident bytes per stored point (0 when empty) — the headline
     /// compression number (16.0 for a fully uncompressed store).
     pub fn bytes_per_point(&self) -> f64 {
@@ -1279,6 +1273,9 @@ mod tests {
         }
         let now = 290 * 60;
         let refs: Vec<&SeriesId> = ids.iter().collect();
+        let cached_bytes = |stats: &StoreStats| -> usize {
+            stats.shards.iter().map(|s| s.decode_cache_bytes).sum()
+        };
         // First batch scan: every overlapping sealed block is a miss
         // (counted into blocks_decoded); no hits yet, no re-decode either.
         let first = cached.snapshot_windows(&refs, &cfg, now);
@@ -1293,7 +1290,7 @@ mod tests {
         let stats = cached.stats();
         assert_eq!(stats.blocks_decoded(), decoded_once);
         assert!(stats.decode_cache_hits() > 0, "repeat scan must hit the cache");
-        assert!(stats.decode_cache_bytes() > 0);
+        assert!(cached_bytes(&stats) > 0);
         // The cache is a pure representation detail: the cache-off store
         // (which decodes directly under a read lock) returns the same
         // windows, and its direct decodes also land in blocks_decoded.
@@ -1301,7 +1298,7 @@ mod tests {
         let direct = uncached.stats();
         assert!(direct.blocks_decoded() > 0);
         assert_eq!(direct.decode_cache_hits(), 0);
-        assert_eq!(direct.decode_cache_bytes(), 0);
+        assert_eq!(cached_bytes(&direct), 0);
     }
 
     #[test]

@@ -48,24 +48,32 @@ COMMANDS:
 "
 }
 
-fn parse_args(args: &[String]) -> HashMap<String, String> {
+fn parse_args(args: &[String]) -> Result<HashMap<String, String>, String> {
     args.iter()
-        .filter_map(|a| a.split_once('='))
-        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .map(|a| {
+            a.split_once('=')
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .ok_or_else(|| format!("bad argument {a} (expected key=value)"))
+        })
         .collect()
 }
 
-fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+fn get<T: std::str::FromStr>(
+    args: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match args.get(key) {
+        Some(v) => v.parse().map_err(|_| format!("bad {key}={v}")),
+        None => Ok(default),
+    }
 }
 
 fn simulate(args: &HashMap<String, String>) -> Result<(), String> {
     let out = args.get("out").ok_or("simulate requires out=<path>")?;
-    let hours: u64 = get(args, "hours", 12);
-    let subroutines: usize = get(args, "subroutines", 50);
-    let servers: usize = get(args, "servers", 100);
+    let hours: u64 = get(args, "hours", 12)?;
+    let subroutines: usize = get(args, "subroutines", 50)?;
+    let servers: usize = get(args, "servers", 100)?;
     let graph = uniform_service_graph(subroutines, 1.0).map_err(|e| e.to_string())?;
     let fleet = Fleet::two_generations(servers).map_err(|e| e.to_string())?;
     let config = ServiceSimConfig {
@@ -86,8 +94,8 @@ fn simulate(args: &HashMap<String, String>) -> Result<(), String> {
     );
     traffic.generate_background(&mut log, 0, hours * 3_600);
     if let Some(victim) = args.get("regress") {
-        let at: u64 = get(args, "regress-at", hours * 3_600 * 5 / 6);
-        let delta: f64 = get(args, "regress-delta", 0.02);
+        let at: u64 = get(args, "regress-at", hours * 3_600 * 5 / 6)?;
+        let delta: f64 = get(args, "regress-delta", 0.02)?;
         let frame = graph
             .frame_by_name(victim)
             .map_err(|_| format!("unknown subroutine {victim}"))?;
@@ -118,10 +126,28 @@ fn load(args: &HashMap<String, String>) -> Result<TsdbStore, String> {
 }
 
 fn scan(args: &HashMap<String, String>) -> Result<(), String> {
+    // Arguments first: a typo should not cost a snapshot load.
+    let threshold_value: f64 = get(args, "threshold", 0.005)?;
+    let relative: bool = get(args, "relative", false)?;
+    let threshold = if relative {
+        Threshold::Relative(threshold_value)
+    } else {
+        Threshold::Absolute(threshold_value)
+    };
+    let windows = WindowConfig {
+        historic: get(args, "historic", 28_800)?,
+        analysis: get(args, "analysis", 7_200)?,
+        extended: get(args, "extended", 3_600)?,
+        rerun_interval: get(args, "rerun", 3_600)?,
+    };
+    let now_arg = args
+        .get("now")
+        .map(|v| v.parse::<u64>().map_err(|_| format!("bad now={v}")))
+        .transpose()?;
     let store = load(args)?;
     let ids = store.series_ids();
-    let now: u64 = match args.get("now") {
-        Some(v) => v.parse().map_err(|_| "bad now")?,
+    let now: u64 = match now_arg {
+        Some(now) => now,
         None => {
             ids.iter()
                 .filter_map(|id| store.last_timestamp(id).ok().flatten())
@@ -129,19 +155,6 @@ fn scan(args: &HashMap<String, String>) -> Result<(), String> {
                 .unwrap_or(0)
                 + 1
         }
-    };
-    let threshold_value: f64 = get(args, "threshold", 0.005);
-    let relative: bool = get(args, "relative", false);
-    let threshold = if relative {
-        Threshold::Relative(threshold_value)
-    } else {
-        Threshold::Absolute(threshold_value)
-    };
-    let windows = WindowConfig {
-        historic: get(args, "historic", 28_800),
-        analysis: get(args, "analysis", 7_200),
-        extended: get(args, "extended", 3_600),
-        rerun_interval: get(args, "rerun", 3_600),
     };
     let config = DetectorConfig::new("cli", windows, threshold);
     let mut pipeline = Pipeline::new(config).map_err(|e| e.to_string())?;
@@ -215,8 +228,7 @@ fn main() -> ExitCode {
         eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let args = parse_args(&argv[1..]);
-    let result = match command.as_str() {
+    let result = parse_args(&argv[1..]).and_then(|args| match command.as_str() {
         "simulate" => simulate(&args),
         "scan" => scan(&args),
         "inspect" => inspect(&args),
@@ -226,7 +238,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other}\n\n{}", usage())),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
