@@ -27,9 +27,9 @@ use fbd_tsdb::{SeriesId, Timestamp, WindowedData};
 
 /// Loess window fraction of the no-seasonality trend fallback. Every site
 /// that smooths or bounds the fallback trend (the full smooth in
-/// `detect_inner`/[`ScanCache::trend`] and the pre-filter dilation) must
-/// use this one constant or the pre-filter's conservativeness proof breaks.
-pub(crate) const TREND_FRACTION: f64 = 0.1;
+/// `detect_inner` and the pre-filter dilation) must use this one constant
+/// or the pre-filter's conservativeness proof breaks.
+const TREND_FRACTION: f64 = 0.1;
 
 /// Geometry shared by the trend pre-filter and its online replica in the
 /// streaming engine: the four sliding-mean regions the detector's decision
@@ -121,7 +121,7 @@ impl LongTermDetector {
     }
 
     /// [`Self::detect`] with a cross-scan [`ScanCache`]: the seasonality
-    /// search and the STL/Loess trend are reused when this series' window
+    /// search and the STL decomposition are reused when this series' window
     /// is unchanged since a previous round.
     pub(crate) fn detect_cached(
         &self,
@@ -226,11 +226,12 @@ impl LongTermDetector {
         let data = windows.all();
         // Step 1: seasonality decomposition; the trend is the subject.
         let trend = match cache {
-            // The cache applies the identical period → trend mapping.
-            Some(c) => c.trend(series, data, period)?,
+            // The seasonality filter decomposes the same `(data, period)`
+            // later in the round; the shared slot makes that one STL run.
+            Some(c) if period >= 2 => c.decomposition(series, data, period)?.trend,
             None if period >= 2 => decompose(data, StlConfig::for_period(period))?.trend,
             // No seasonality: a wide Loess smooth stands in for the trend.
-            None => fbd_stats::stl::loess_smooth_uniform(data, TREND_FRACTION)?,
+            _ => fbd_stats::stl::loess_smooth_uniform(data, TREND_FRACTION)?,
         };
         // Step 2: regression detection on the trend alone.
         let h_len = windows.historic_len();

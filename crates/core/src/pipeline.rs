@@ -151,7 +151,7 @@ pub struct Pipeline {
     pub budget: ScanBudget,
     /// Optional fault-injection hook (chaos drills).
     chaos_hook: Option<ChaosHook>,
-    /// Cross-scan per-series artifact cache (seasonality, STL, SAX).
+    /// Cross-scan per-series artifact cache (seasonality, STL, filter verdicts).
     cache: ScanCache,
     /// Streaming incremental scan engine (round-over-round reuse of window
     /// snapshots, statistics, and quiet verdicts); `None` disables it and

@@ -3,10 +3,9 @@
 //! The monitoring scheduler re-scans every series on a cadence, and between
 //! rounds most series' windows are unchanged (no new samples arrived) or
 //! merely shifted by a few points. The expensive per-series artifacts —
-//! the ACF seasonality search, the STL decomposition / Loess trend, and the
-//! SAX reference encoding of the historic window — are pure functions of
-//! their inputs, so they can be reused across rounds whenever the inputs
-//! are bit-identical.
+//! the ACF seasonality search and the STL decomposition — and the two
+//! filter verdicts are pure functions of their inputs, so they can be
+//! reused within and across rounds whenever the inputs are bit-identical.
 //!
 //! # Keying and invalidation
 //!
@@ -32,8 +31,7 @@
 use crate::types::Regression;
 use crate::Result;
 use fbd_stats::acf::{self, Seasonality};
-use fbd_stats::sax::{encode_in_range, SaxConfig, SaxString};
-use fbd_stats::stl::{decompose, loess_smooth_uniform, StlConfig, StlDecomposition};
+use fbd_stats::stl::{decompose, StlConfig, StlDecomposition};
 use fbd_tsdb::SeriesId;
 use fbd_sync::{LockDomain, OrderedMutex};
 use std::collections::BTreeMap;
@@ -58,12 +56,8 @@ fn fingerprint(data: &[f64]) -> u64 {
 /// Key of a cached seasonality search: data fingerprint, `min_period`,
 /// `max_lag`, and the ACF threshold bits.
 type SeasonalityKey = (u64, usize, usize, u64);
-/// Key of a cached trend/decomposition: data fingerprint and STL period
-/// (0 encodes the no-seasonality Loess fallback).
-type TrendKey = (u64, usize);
-/// Key of a cached SAX reference: historic fingerprint, range bits, bucket
-/// count, and validity-fraction bits.
-type SaxKey = (u64, u64, u64, usize, u64);
+/// Key of a cached decomposition: data fingerprint and STL period.
+type DecompositionKey = (u64, usize);
 
 /// Key identifying a candidate regression for filter-verdict reuse: the
 /// fingerprints of all three window regions plus every change field the
@@ -91,9 +85,7 @@ struct SeriesArtifacts {
     /// Round number of the last store into any slot; drives eviction.
     last_round: u64,
     seasonality: Option<(SeasonalityKey, Option<Seasonality>)>,
-    trend: Option<(TrendKey, Vec<f64>)>,
-    decomposition: Option<(TrendKey, StlDecomposition)>,
-    sax_reference: Option<(SaxKey, SaxString)>,
+    decomposition: Option<(DecompositionKey, StlDecomposition)>,
     /// Memoized `keep` decisions of the went-away and seasonality filters
     /// for the series' last candidate. The filters are pure functions of
     /// the candidate (windows + change fields, all in the key), so on the
@@ -126,7 +118,7 @@ impl CacheStats {
     }
 }
 
-/// Per-series cross-scan cache of seasonality, STL, and SAX artifacts.
+/// Per-series cross-scan cache of seasonality and STL artifacts.
 ///
 /// Owned by the pipeline so it persists across [`crate::scheduler`] rounds;
 /// shared with the parallel detection workers by reference (the interior
@@ -257,33 +249,10 @@ impl ScanCache {
         Ok(computed)
     }
 
-    /// Cached long-term trend: the STL trend for `period >= 2` (via
-    /// [`StlConfig::for_period`]), or the wide uniform Loess fallback
-    /// (fraction [`crate::long_term::TREND_FRACTION`]) when `period == 0`
-    /// — mirroring the long-term detector's trend selection exactly.
-    ///
-    /// The STL case is answered from the [`Self::decomposition`] slot: the
-    /// seasonality filter decomposes the same `(data, period)` later in the
-    /// round, so sharing one slot means one STL run per series per round
-    /// instead of two. The trend slot only holds the Loess fallback.
-    pub fn trend(&self, series: &SeriesId, data: &[f64], period: usize) -> Result<Vec<f64>> {
-        if period >= 2 {
-            return Ok(self.decomposition(series, data, period)?.trend);
-        }
-        let key = (fingerprint(data), period);
-        if let Some(cached) = self.lookup(series, |a| {
-            a.trend.as_ref().filter(|(k, _)| *k == key).map(|(_, t)| t.clone())
-        }) {
-            return Ok(cached);
-        }
-        let computed = loess_smooth_uniform(data, crate::long_term::TREND_FRACTION)?;
-        self.store(series, |a| a.trend = Some((key, computed.clone())));
-        Ok(computed)
-    }
-
-    /// Cached full STL decomposition at [`StlConfig::for_period`]`(period)`
-    /// (the seasonality detector needs the seasonal and residual components
-    /// too, not just the trend).
+    /// Cached full STL decomposition at [`StlConfig::for_period`]`(period)`:
+    /// the long-term detector takes its trend and the seasonality filter,
+    /// later in the round, the seasonal and residual components of the same
+    /// `(data, period)` — one slot, one STL run per series per round.
     pub fn decomposition(
         &self,
         series: &SeriesId,
@@ -301,36 +270,6 @@ impl ScanCache {
         }
         let computed = decompose(data, StlConfig::for_period(period))?;
         self.store(series, |a| a.decomposition = Some((key, computed.clone())));
-        Ok(computed)
-    }
-
-    /// Cached SAX reference encoding of the historic window
-    /// ([`encode_in_range`]).
-    pub fn sax_reference(
-        &self,
-        series: &SeriesId,
-        historic: &[f64],
-        range_min: f64,
-        range_max: f64,
-        config: SaxConfig,
-    ) -> Result<SaxString> {
-        let key = (
-            fingerprint(historic),
-            range_min.to_bits(),
-            range_max.to_bits(),
-            config.buckets,
-            config.validity_fraction.to_bits(),
-        );
-        if let Some(cached) = self.lookup(series, |a| {
-            a.sax_reference
-                .as_ref()
-                .filter(|(k, _)| *k == key)
-                .map(|(_, s)| s.clone())
-        }) {
-            return Ok(cached);
-        }
-        let computed = encode_in_range(historic, range_min, range_max, config)?;
-        self.store(series, |a| a.sax_reference = Some((key, computed.clone())));
         Ok(computed)
     }
 
@@ -450,29 +389,23 @@ mod tests {
         let cache = ScanCache::new();
         let s = sid("t");
         let data = sine(240, 24);
-        // STL path.
-        let cached = cache.trend(&s, &data, 24).unwrap();
-        let direct = decompose(&data, StlConfig::for_period(24)).unwrap().trend;
+        let cached = cache.decomposition(&s, &data, 24).unwrap();
+        let direct = decompose(&data, StlConfig::for_period(24)).unwrap();
         assert_eq!(cached, direct);
-        // Loess fallback path (period 0) — different key, so a miss.
-        let cached = cache.trend(&s, &data, 0).unwrap();
-        let direct = loess_smooth_uniform(&data, crate::long_term::TREND_FRACTION).unwrap();
-        for (c, d) in cached.iter().zip(&direct) {
+        // Re-request: a hit, identical bits.
+        let again = cache.decomposition(&s, &data, 24).unwrap().trend;
+        for (c, d) in again.iter().zip(&direct.trend) {
             assert_eq!(c.to_bits(), d.to_bits());
         }
-        // Re-request the Loess trend: hit, identical bits.
-        let again = cache.trend(&s, &data, 0).unwrap();
-        for (c, d) in again.iter().zip(&cached) {
-            assert_eq!(c.to_bits(), d.to_bits());
-        }
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn series_slots_are_independent() {
         let cache = ScanCache::new();
         let data = sine(240, 24);
-        cache.trend(&sid("a"), &data, 24).unwrap();
-        cache.trend(&sid("b"), &data, 24).unwrap();
+        cache.decomposition(&sid("a"), &data, 24).unwrap();
+        cache.decomposition(&sid("b"), &data, 24).unwrap();
         // Same data, different series: each series misses once.
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.len(), 2);
@@ -486,19 +419,19 @@ mod tests {
         let data = sine(240, 24);
         // Round 1: a and b. Round 2: c, plus a refresh of a.
         cache.note_round();
-        cache.trend(&sid("a"), &data, 24).unwrap();
-        cache.trend(&sid("b"), &data, 24).unwrap();
+        cache.decomposition(&sid("a"), &data, 24).unwrap();
+        cache.decomposition(&sid("b"), &data, 24).unwrap();
         cache.note_round();
-        cache.trend(&sid("c"), &data, 24).unwrap();
-        cache.trend(&sid("a"), &data, 24).unwrap();
+        cache.decomposition(&sid("c"), &data, 24).unwrap();
+        cache.decomposition(&sid("a"), &data, 24).unwrap();
         assert_eq!(cache.len(), 3); // Transient overshoot within the round.
         // Round 3 enforces the bound: b (round 1) is the oldest entry.
         cache.note_round();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evicted, 1);
-        cache.trend(&sid("a"), &data, 24).unwrap();
-        cache.trend(&sid("c"), &data, 24).unwrap();
-        cache.trend(&sid("b"), &data, 24).unwrap();
+        cache.decomposition(&sid("a"), &data, 24).unwrap();
+        cache.decomposition(&sid("c"), &data, 24).unwrap();
+        cache.decomposition(&sid("b"), &data, 24).unwrap();
         // a and c survived (hits); b was evicted (miss).
         assert_eq!(cache.stats().hits, 3); // a's round-2 hit + these two.
     }
@@ -508,14 +441,14 @@ mod tests {
         let cache = ScanCache::with_capacity(1);
         let data = sine(240, 24);
         cache.note_round();
-        cache.trend(&sid("b"), &data, 24).unwrap();
-        cache.trend(&sid("a"), &data, 24).unwrap();
-        cache.trend(&sid("c"), &data, 24).unwrap();
+        cache.decomposition(&sid("b"), &data, 24).unwrap();
+        cache.decomposition(&sid("a"), &data, 24).unwrap();
+        cache.decomposition(&sid("c"), &data, 24).unwrap();
         cache.note_round();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evicted, 2);
         // Same round stamps: the smallest SeriesIds go first, "c" survives.
-        cache.trend(&sid("c"), &data, 24).unwrap();
+        cache.decomposition(&sid("c"), &data, 24).unwrap();
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -524,24 +457,10 @@ mod tests {
         let cache = ScanCache::with_capacity(0);
         let data = sine(240, 24);
         for name in ["a", "b", "c", "d"] {
-            cache.trend(&sid(name), &data, 24).unwrap();
+            cache.decomposition(&sid(name), &data, 24).unwrap();
             cache.note_round();
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().evicted, 0);
-    }
-
-    #[test]
-    fn sax_reference_round_trip() {
-        let cache = ScanCache::new();
-        let s = sid("x");
-        let historic: Vec<f64> = (0..100).map(|i| 1.0 + (i % 7) as f64 * 0.01).collect();
-        let cfg = SaxConfig::default();
-        let a = cache.sax_reference(&s, &historic, 0.9, 1.2, cfg).unwrap();
-        let b = cache.sax_reference(&s, &historic, 0.9, 1.2, cfg).unwrap();
-        assert_eq!(a, b);
-        let direct = encode_in_range(&historic, 0.9, 1.2, cfg).unwrap();
-        assert_eq!(a, direct);
-        assert_eq!(cache.stats().hits, 1);
     }
 }

@@ -183,9 +183,9 @@ impl WentAwayDetector {
         self.evaluate_with_cache(regression, None)
     }
 
-    /// [`Self::evaluate`] with a cross-scan [`ScanCache`]: the SAX reference
-    /// encoding of the historic window and the seasonality search are reused
-    /// when this series' windows are unchanged since a previous round.
+    /// [`Self::evaluate`] with a cross-scan [`ScanCache`]: the seasonality
+    /// search is reused when this series' windows are unchanged since a
+    /// previous round.
     // fbd-lint::hot
     pub fn evaluate_with_cache(
         &self,
@@ -266,10 +266,7 @@ impl WentAwayDetector {
         // SAX over the combined value range, with validity defined by the
         // historic window ("a letter is valid if its number of occurrences
         // exceeds a predefined threshold").
-        let reference = match cache {
-            Some(c) => c.sax_reference(&regression.series, &historic, range_min, range_max, self.sax)?,
-            None => encode_in_range(&historic, range_min, range_max, self.sax)?,
-        };
+        let reference = encode_in_range(&historic, range_min, range_max, self.sax)?;
         let post_sax = reference.encode_with_same_buckets(&post)?;
 
         // --- NewPattern ---

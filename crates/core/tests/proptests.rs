@@ -500,7 +500,6 @@ proptest! {
         let packed = TsdbStore::with_config(StoreConfig {
             seal_limit,
             shard_budget_bytes: None,
-            decode_cache_bytes: 8_192,
         });
         let plain = TsdbStore::new();
         let mut ids = Vec::new();
@@ -575,7 +574,6 @@ proptest! {
         let store = TsdbStore::with_config(StoreConfig {
             seal_limit: 32,
             shard_budget_bytes: None,
-            decode_cache_bytes: 4_096,
         });
         let mut ids = Vec::new();
         let mut frontier = 400u64;
@@ -658,7 +656,6 @@ proptest! {
         let store = TsdbStore::with_config(StoreConfig {
             seal_limit,
             shard_budget_bytes: None,
-            decode_cache_bytes: 4_096,
         });
         let ids: Vec<SeriesId> = seeds
             .iter()

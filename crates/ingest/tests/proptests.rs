@@ -181,7 +181,6 @@ proptest! {
         let packed_store = Arc::new(TsdbStore::with_config(StoreConfig {
             seal_limit,
             shard_budget_bytes: None,
-            decode_cache_bytes: 4_096,
         }));
         let packed_pipe = IngestPipeline::new(Arc::clone(&packed_store), config);
         for raw in &batches {

@@ -54,18 +54,10 @@
 //! [`ReferenceBlockIter`], the original bit-at-a-time decoder retained as
 //! the bit-exactness oracle for tests and proptests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::columns::TimeRuns;
 use crate::types::{DataPoint, Timestamp};
-
-/// Monotonic process-wide block id source. Every sealed block gets a
-/// fresh id, so an id can never be reused for different bytes — the
-/// property the shard decode cache relies on for ABA-safe keying
-/// (payload pointers are not stable identity: `Bytes` clones copy).
-static BLOCK_SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Append-only bit sink over a growable byte buffer, MSB-first.
 #[derive(Debug)]
@@ -475,7 +467,6 @@ impl BlockBuilder {
         SealedBlock {
             bytes: self.bits.finish(),
             summary: self.summary,
-            seq: BLOCK_SEQ.fetch_add(1, Ordering::Relaxed),
         }
     }
 }
@@ -485,9 +476,6 @@ impl BlockBuilder {
 pub struct SealedBlock {
     bytes: Bytes,
     summary: BlockSummary,
-    /// Process-unique id stamped at seal time; clones share it (same
-    /// bytes, same identity). Used as the decode-cache key.
-    seq: u64,
 }
 
 impl SealedBlock {
@@ -523,13 +511,6 @@ impl SealedBlock {
     /// The seal-time statistics stored beside the payload.
     pub fn summary(&self) -> &BlockSummary {
         &self.summary
-    }
-
-    /// Process-unique identity of this block's payload. Never reused for
-    /// different bytes within a process, which makes it safe as a decode
-    /// cache key even across series replacement and eviction.
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 
     /// Compressed payload size in bytes (excluding [`SUMMARY_BYTES`]).
@@ -582,7 +563,6 @@ impl SealedBlock {
         SealedBlock {
             bytes: Bytes::from(bytes),
             summary: BlockSummary { count, ..BlockSummary::empty() },
-            seq: BLOCK_SEQ.fetch_add(1, Ordering::Relaxed),
         }
     }
 

@@ -20,6 +20,13 @@ pub enum TsdbError {
     InvalidWindowConfig(&'static str),
     /// The queried window contains no data.
     EmptyWindow(&'static str),
+    /// A snapshot file could not be read or written.
+    Snapshot {
+        /// 1-based line of the snapshot text the failure belongs to.
+        line: usize,
+        /// What is wrong there.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for TsdbError {
@@ -32,6 +39,7 @@ impl fmt::Display for TsdbError {
             }
             TsdbError::InvalidWindowConfig(what) => write!(f, "invalid window config: {what}"),
             TsdbError::EmptyWindow(which) => write!(f, "no data in {which} window"),
+            TsdbError::Snapshot { line, reason } => write!(f, "snapshot line {line}: {reason}"),
         }
     }
 }

@@ -288,7 +288,7 @@ impl TimeSeries {
     /// reaches `start` and stops before the first block that begins at or
     /// past `end`. Equal timestamps may straddle a block boundary; both
     /// comparisons are on the side that keeps such a block in.
-    pub(crate) fn range_blocks(&self, start: Timestamp, end: Timestamp) -> &[SealedBlock] {
+    fn range_blocks(&self, start: Timestamp, end: Timestamp) -> &[SealedBlock] {
         if start >= end {
             return &[];
         }
@@ -352,7 +352,7 @@ impl TimeSeries {
     /// leading points precede the tail (always fewer than the first
     /// block holds) — the one statement of the walk-back rule. Empty while
     /// the head alone covers the tail.
-    pub(crate) fn tail_blocks(&self, n: usize) -> (&[SealedBlock], usize) {
+    fn tail_blocks(&self, n: usize) -> (&[SealedBlock], usize) {
         let needed = n.min(self.len()).saturating_sub(self.head.len());
         let mut start_block = self.sealed.len();
         let mut covered = 0usize;
@@ -361,12 +361,6 @@ impl TimeSeries {
             covered += self.sealed[start_block].count() as usize;
         }
         (&self.sealed[start_block..], covered - needed)
-    }
-
-    /// The head's share of a tail-`n` read: all of it once the tail
-    /// reaches into sealed blocks, else its last `n` points.
-    pub(crate) fn head_tail(&self, n: usize) -> &[DataPoint] {
-        &self.head[self.head.len().saturating_sub(n)..]
     }
 
     /// Appends the last `n` points (all points when `n >= len`) to `out`,
@@ -379,7 +373,9 @@ impl TimeSeries {
             out.extend(block.iter().skip(skip));
             skip = 0;
         }
-        out.extend_from_slice(self.head_tail(n));
+        // The head's share: all of it once the tail reaches into sealed
+        // blocks, else its last `n` points.
+        out.extend_from_slice(&self.head[self.head.len().saturating_sub(n)..]);
     }
 
     /// The last `n` points (all points when `n >= len`) as a fresh vector.
@@ -929,12 +925,15 @@ mod tests {
         }
         assert_eq!((s.sealed_block_count(), s.head_len()), (4, 2));
         let all = s.points().into_owned();
-        let seqs = |blocks: &[SealedBlock]| blocks.iter().map(SealedBlock::seq).collect::<Vec<_>>();
+        // Two blocks here start at 20, so a block is identified by its
+        // first timestamp together with its last.
+        let span = |b: &SealedBlock| (b.first_timestamp(), b.last_timestamp());
+        let spans = |blocks: &[SealedBlock]| blocks.iter().map(span).collect::<Vec<_>>();
         for start in (0..=55).step_by(5) {
             for end in (0..=55).step_by(5) {
                 // A block is read iff it is neither wholly before `start`
                 // nor wholly at or past `end`, judged on its decoded points.
-                let brute: Vec<u64> = s
+                let brute: Vec<(Timestamp, Timestamp)> = s
                     .sealed_blocks()
                     .iter()
                     .filter(|b| {
@@ -943,9 +942,9 @@ mod tests {
                             && pts.iter().any(|p| p.timestamp >= start)
                             && pts.iter().any(|p| p.timestamp < end)
                     })
-                    .map(SealedBlock::seq)
+                    .map(span)
                     .collect();
-                assert_eq!(seqs(s.range_blocks(start, end)), brute, "[{start}, {end})");
+                assert_eq!(spans(s.range_blocks(start, end)), brute, "[{start}, {end})");
                 let expected: Vec<DataPoint> = all
                     .iter()
                     .filter(|p| p.timestamp >= start && p.timestamp < end)
@@ -965,7 +964,7 @@ mod tests {
             assert_eq!(held, sealed_share + skip, "tail {n}");
             assert!(blocks.first().map_or(skip == 0, |b| skip < b.count() as usize), "tail {n}");
             let first = s.sealed_block_count() - blocks.len();
-            assert_eq!(seqs(blocks), seqs(&s.sealed_blocks()[first..]), "tail {n}");
+            assert_eq!(spans(blocks), spans(&s.sealed_blocks()[first..]), "tail {n}");
         }
     }
 

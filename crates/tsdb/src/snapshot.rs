@@ -29,12 +29,20 @@ fn metric_from_name(name: &str) -> Option<MetricKind> {
     })
 }
 
-/// Writes a snapshot of the whole store.
+/// Writes a snapshot of the whole store. A series whose `service` or
+/// `target` holds a tab or a newline is refused — written verbatim it would
+/// shift or split the line's fields and make the whole file unreadable.
 pub fn write_snapshot<W: Write>(store: &TsdbStore, mut writer: W) -> Result<()> {
-    let io_err = |_| TsdbError::InvalidWindowConfig("snapshot write failed");
-    writeln!(writer, "{HEADER}").map_err(io_err)?;
-    for id in store.series_ids() {
-        store.with_series(&id, |series| {
+    let failed = |line| move |_| TsdbError::Snapshot { line, reason: "write failed" };
+    writeln!(writer, "{HEADER}").map_err(failed(1))?;
+    let ids = store.series_ids();
+    for (i, id) in ids.iter().enumerate() {
+        let line = i + 2;
+        let io_err = failed(line);
+        if [&id.service, &id.target].iter().any(|s| s.contains(['\t', '\n'])) {
+            return Err(TsdbError::Snapshot { line, reason: "tab or newline in series id" });
+        }
+        store.with_series(id, |series| {
             write!(
                 writer,
                 "{}\t{}\t{}\t",
@@ -55,7 +63,8 @@ pub fn write_snapshot<W: Write>(store: &TsdbStore, mut writer: W) -> Result<()> 
             writeln!(writer).map_err(io_err)
         })??;
     }
-    Ok(())
+    // A buffered writer dropped unflushed would swallow the last error.
+    writer.flush().map_err(failed(ids.len() + 1))
 }
 
 /// Reads a snapshot into a fresh store with the default (uncompressed)
@@ -67,40 +76,39 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<TsdbStore> {
 /// Reads a snapshot into a fresh store with an explicit storage policy —
 /// the text format carries raw points, so restoring into a compressed
 /// store re-encodes each series through [`TsdbStore::insert_series`].
+/// Every failure is a [`TsdbError::Snapshot`] naming the offending line.
 pub fn read_snapshot_with_config<R: Read>(
     reader: R,
     config: crate::store::StoreConfig,
 ) -> Result<TsdbStore> {
-    let parse_err = TsdbError::InvalidWindowConfig("malformed snapshot");
     let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .ok_or(parse_err.clone())?
-        .map_err(|_| parse_err.clone())?;
-    if header != HEADER {
-        return Err(TsdbError::InvalidWindowConfig("unknown snapshot version"));
+    match lines.next() {
+        Some(Ok(header)) if header == HEADER => {}
+        Some(Err(_)) => return Err(TsdbError::Snapshot { line: 1, reason: "read failed" }),
+        _ => return Err(TsdbError::Snapshot { line: 1, reason: "missing or unknown header" }),
     }
     let store = TsdbStore::with_config(config);
-    for line in lines {
-        let line = line.map_err(|_| parse_err.clone())?;
-        if line.is_empty() {
+    for (i, text) in lines.enumerate() {
+        let line = i + 2;
+        let err = |reason| TsdbError::Snapshot { line, reason };
+        let text = text.map_err(|_| err("read failed"))?;
+        if text.is_empty() {
             continue;
         }
-        let mut fields = line.splitn(4, '\t');
-        let service = fields.next().ok_or(parse_err.clone())?;
-        let metric = fields
-            .next()
-            .and_then(metric_from_name)
-            .ok_or(parse_err.clone())?;
-        let target = fields.next().ok_or(parse_err.clone())?;
-        let points = fields.next().ok_or(parse_err.clone())?;
+        let mut fields = text.splitn(4, '\t');
+        let (Some(service), Some(metric), Some(target), Some(points)) =
+            (fields.next(), fields.next(), fields.next(), fields.next())
+        else {
+            return Err(err("field count"));
+        };
+        let metric = metric_from_name(metric).ok_or(err("unknown metric"))?;
         let mut series = TimeSeries::new();
         if !points.is_empty() {
             for pair in points.split(',') {
-                let (t, v) = pair.split_once(':').ok_or(parse_err.clone())?;
-                let t: u64 = t.parse().map_err(|_| parse_err.clone())?;
-                let v: f64 = v.parse().map_err(|_| parse_err.clone())?;
-                series.append(t, v)?;
+                let (t, v) = pair.split_once(':').ok_or(err("bad point"))?;
+                let t: u64 = t.parse().map_err(|_| err("bad point"))?;
+                let v: f64 = v.parse().map_err(|_| err("bad point"))?;
+                series.append(t, v).map_err(|_| err("out-of-order point"))?;
             }
         }
         store.insert_series(SeriesId::new(service, metric, target), series);
@@ -184,6 +192,81 @@ mod tests {
         assert!(read_snapshot(text.as_bytes()).is_err());
         let text = format!("{HEADER}\nsvc\tnosuchmetric\tfoo\t1:2\n");
         assert!(read_snapshot(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn read_errors_name_the_line_and_the_reason() {
+        let at = |text: String| read_snapshot(text.as_bytes()).unwrap_err();
+        // The bad point sits on line 3: header, one good series, then it.
+        assert_eq!(
+            at(format!("{HEADER}\nsvc\tgcpu\tfoo\t1:2\nsvc\tgcpu\tbar\t1:2,x:3\n")),
+            TsdbError::Snapshot { line: 3, reason: "bad point" }
+        );
+        assert_eq!(
+            at(format!("{HEADER}\nsvc\tgcpu\tfoo\t5:1,4:1\n")),
+            TsdbError::Snapshot { line: 2, reason: "out-of-order point" }
+        );
+        assert_eq!(
+            at(format!("{HEADER}\n\nsvc\tgcpu\tfoo\n")),
+            TsdbError::Snapshot { line: 3, reason: "field count" }
+        );
+        assert_eq!(
+            at(format!("{HEADER}\nsvc\tnosuchmetric\tfoo\t1:2\n")),
+            TsdbError::Snapshot { line: 2, reason: "unknown metric" }
+        );
+        for text in ["nope\n", ""] {
+            assert_eq!(
+                at(text.to_string()),
+                TsdbError::Snapshot { line: 1, reason: "missing or unknown header" }
+            );
+        }
+        assert_eq!(
+            at(format!("{HEADER}\nsvc\tgcpu\tfoo\tnot-a-point\n")).to_string(),
+            "snapshot line 2: bad point"
+        );
+    }
+
+    /// The writer's error for the demo store plus one series with the
+    /// given id parts.
+    fn refused(service: &str, target: &str) -> TsdbError {
+        let store = demo_store();
+        store.append(&SeriesId::new(service, MetricKind::GCpu, target), 1, 1.0).unwrap();
+        write_snapshot(&store, Vec::new()).unwrap_err()
+    }
+
+    #[test]
+    fn tab_in_service_is_refused_by_the_writer() {
+        // Ids sort as ("other", ""), ("s\tvc", "foo"), ("svc", "foo"):
+        // the offender would have been line 3.
+        assert_eq!(
+            refused("s\tvc", "foo"),
+            TsdbError::Snapshot { line: 3, reason: "tab or newline in series id" }
+        );
+    }
+
+    #[test]
+    fn newline_in_target_is_refused_by_the_writer() {
+        assert_eq!(
+            refused("svc", "fo\no"),
+            TsdbError::Snapshot { line: 3, reason: "tab or newline in series id" }
+        );
+    }
+
+    #[test]
+    fn write_failure_is_a_snapshot_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        assert_eq!(
+            write_snapshot(&demo_store(), Full),
+            Err(TsdbError::Snapshot { line: 1, reason: "write failed" })
+        );
     }
 
     #[test]

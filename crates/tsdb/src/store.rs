@@ -1,18 +1,13 @@
 //! Concurrent store mapping series ids to time series.
 
-use crate::block::SealedBlock;
 use crate::columns::SeriesColumns;
 use crate::scratch::ScratchPoints;
 use crate::series::TimeSeries;
-use crate::types::{DataPoint, SeriesId, Timestamp};
-use crate::window::{
-    points_in, snapshot_bounds, windows_from_points, WindowConfig, WindowedData,
-};
+use crate::types::{SeriesId, Timestamp};
+use crate::window::{snapshot_bounds, windows_from_points, WindowConfig, WindowedData};
 use crate::{Result, TsdbError};
 use fbd_sync::{LockDomain, OrderedRwLock};
-// fbd-lint::allow(hash-order): HashMap backs the decode cache, which is only
-// probed by key; iteration never happens, so order cannot reach any output.
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -55,8 +50,7 @@ pub enum SeriesDelta {
         /// Counters at snapshot time.
         version: SeriesVersion,
         /// All points from `snapshot_bounds(config, now).0` onward, decoded
-        /// straight from the sealed blocks ([`TimeSeries::columns_from`]):
-        /// the reader keeps this copy, so it bypasses the decode cache.
+        /// straight from the sealed blocks ([`TimeSeries::columns_from`]).
         columns: SeriesColumns,
     },
 }
@@ -84,15 +78,6 @@ pub struct StoreConfig {
     /// shard fits. Mutable heads are never evicted, so recent data always
     /// survives. `None` disables enforcement.
     pub shard_budget_bytes: Option<usize>,
-    /// Per-shard byte budget for the decoded-block cache (16 bytes per
-    /// cached point); 0 disables caching entirely. The cache serves repeat
-    /// decodes on the read paths that revisit the same sealed blocks —
-    /// window extraction, batch snapshots and delta-snapshot tail copies;
-    /// a delta-snapshot reset copy is read once and kept by its reader, so
-    /// it never enters — and is accounted separately from `shard_budget_bytes`
-    /// (`ShardStats::decode_cache_bytes`): it is a read accelerator, not
-    /// stored data, and evicting it never loses points.
-    pub decode_cache_bytes: usize,
 }
 
 impl StoreConfig {
@@ -102,18 +87,11 @@ impl StoreConfig {
     /// delta-of-delta and XOR windows amortize the 16-byte first sample.
     pub const DEFAULT_SEAL_LIMIT: u32 = 128;
 
-    /// Decoded-block cache budget [`StoreConfig::compressed`] enables per
-    /// shard: 2 MiB holds ~1,000 decoded 128-point blocks, enough that a
-    /// paper-shaped 2,000-series suite's scan range stays fully decoded
-    /// across one store's 16 shards.
-    pub const DEFAULT_DECODE_CACHE_BYTES: usize = 2 * 1024 * 1024;
-
-    /// Gorilla compression on, no memory budget, decode cache enabled.
+    /// Gorilla compression on, no memory budget.
     pub fn compressed() -> Self {
         StoreConfig {
             seal_limit: Self::DEFAULT_SEAL_LIMIT,
             shard_budget_bytes: None,
-            decode_cache_bytes: Self::DEFAULT_DECODE_CACHE_BYTES,
         }
     }
 
@@ -146,15 +124,9 @@ pub struct ShardStats {
     pub evicted_blocks: u64,
     /// Points dropped by budget enforcement since the store was created.
     pub evicted_points: u64,
-    /// Bytes of decoded points currently held by the shard's decode cache
-    /// (16 per point; accounted separately from `resident_bytes`).
-    pub decode_cache_bytes: usize,
-    /// Cached-path block reads served without decoding.
-    pub decode_cache_hits: u64,
-    /// Cached-path block reads that had to decode (and then cached).
+    /// Constant 0 (there is no decode cache): read only by perfbench's two
+    /// `tsdb.store.decode_cache_*` metrics, and goes with them in the next `benchmark` PR.
     pub decode_cache_misses: u64,
-    /// Cache entries dropped to fit the decode-cache budget.
-    pub decode_cache_evictions: u64,
 }
 
 /// Store-wide storage statistics: one [`ShardStats`] per shard plus
@@ -163,10 +135,8 @@ pub struct ShardStats {
 pub struct StoreStats {
     /// Per-shard breakdown, indexed by shard number.
     pub shards: Vec<ShardStats>,
-    /// Sealed blocks decoded without the decode cache — every
-    /// [`SeriesDelta::Reset`] copy, plus every window and snapshot read of
-    /// a store whose cache is disabled — counted from summaries without
-    /// touching the payloads.
+    /// Sealed blocks decoded by window, snapshot and delta reads, counted
+    /// from summaries without touching the payloads.
     pub direct_blocks_decoded: u64,
 }
 
@@ -211,20 +181,21 @@ impl StoreStats {
         self.shards.iter().map(|s| s.evicted_points).sum()
     }
 
-    /// Total sealed blocks decoded anywhere in the store: cache misses
-    /// plus direct (uncached-path) decodes.
+    /// Total sealed blocks decoded by store reads.
     pub fn blocks_decoded(&self) -> u64 {
-        self.direct_blocks_decoded + self.shards.iter().map(|s| s.decode_cache_misses).sum::<u64>()
+        self.direct_blocks_decoded
     }
 
-    /// Total decoded-block cache hits.
+    /// Constant 0 (there is no decode cache): read only by perfbench's two
+    /// `tsdb.store.decode_cache_*` metrics, and goes with them in the next `benchmark` PR.
     pub fn decode_cache_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.decode_cache_hits).sum()
+        0
     }
 
-    /// Total decoded-block cache entries evicted to fit the cache budget.
+    /// Constant 0 (there is no decode cache): read only by perfbench's two
+    /// `tsdb.store.decode_cache_*` metrics, and goes with them in the next `benchmark` PR.
     pub fn decode_cache_evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.decode_cache_evictions).sum()
+        0
     }
 
     /// Resident bytes per stored point (0 when empty) — the headline
@@ -245,205 +216,6 @@ impl StoreStats {
     }
 }
 
-/// Shard-local cache of fully decoded sealed blocks, keyed by the block's
-/// process-unique seal sequence number ([`SealedBlock::seq`]) — never by
-/// payload identity, so a re-encoded or replaced block can never alias a
-/// stale entry. Overlapping window reads and consecutive rounds' tail
-/// reads of one series decode each block once; later reads memcpy.
-///
-/// Eviction is FIFO in insertion order with exact byte accounting (16 per
-/// cached point): entries are popped until the incoming block fits. One
-/// lone entry larger than the whole budget is admitted anyway (it will be
-/// the first popped on the next insert) — refusing it would make a small
-/// budget silently disable caching. Invalidation is precise where cheap
-/// (budget eviction removes the victim's entry) and wholesale where not
-/// (`expire_before` clears the shard's cache); stale entries for dropped
-/// blocks are otherwise harmless — their seq is never reissued — and the
-/// FIFO cycles them out.
-#[derive(Debug, Default)]
-struct DecodeCache {
-    /// Decoded points by block seq. Probed by key only — eviction order
-    /// comes from `queue`, never from map iteration.
-    // fbd-lint::allow(hash-order): keyed lookups only; never iterated
-    entries: HashMap<u64, Vec<DataPoint>>,
-    /// Insertion-ordered seqs; may lag `entries` after precise removals
-    /// (missing seqs are skipped at pop time).
-    queue: VecDeque<u64>,
-    resident_bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl DecodeCache {
-    /// The decoded points of `block`, decoding and caching on miss.
-    fn block_points(&mut self, block: &SealedBlock, budget: usize) -> &[DataPoint] {
-        let seq = block.seq();
-        if self.entries.contains_key(&seq) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            let decoded = block.to_points();
-            let incoming = decoded.len() * std::mem::size_of::<DataPoint>();
-            while !self.entries.is_empty() && self.resident_bytes + incoming > budget {
-                let Some(old) = self.queue.pop_front() else {
-                    break;
-                };
-                if let Some(points) = self.entries.remove(&old) {
-                    self.resident_bytes -= points.len() * std::mem::size_of::<DataPoint>();
-                    self.evictions += 1;
-                }
-            }
-            self.resident_bytes += incoming;
-            self.queue.push_back(seq);
-            self.entries.insert(seq, decoded);
-        }
-        self.entries.get(&seq).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Drops one block's entry (budget eviction invalidation). Its queue
-    /// slot stays and is skipped when popped.
-    fn remove(&mut self, seq: u64) {
-        if let Some(points) = self.entries.remove(&seq) {
-            self.resident_bytes -= points.len() * std::mem::size_of::<DataPoint>();
-        }
-    }
-
-    /// Drops every entry (wholesale invalidation after expiry re-encoded
-    /// an unknown set of blocks). Counters are kept — they are lifetime
-    /// totals.
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.queue.clear();
-        self.resident_bytes = 0;
-    }
-}
-
-/// Appends the last `n` points of `series` to a fresh scratch buffer via
-/// the decode cache — bit-identical to [`TimeSeries::tail_scratch`], which
-/// decodes the same [`TimeSeries::tail_blocks`] run directly.
-fn tail_via_cache(
-    series: &TimeSeries,
-    decode: &mut DecodeCache,
-    budget: usize,
-    n: usize,
-) -> ScratchPoints {
-    let (blocks, mut skip) = series.tail_blocks(n);
-    let mut out = ScratchPoints::with_capacity(n.min(series.len()));
-    for block in blocks {
-        let decoded = decode.block_points(block, budget);
-        out.extend_from_slice(&decoded[skip.min(decoded.len())..]);
-        skip = 0;
-    }
-    out.extend_from_slice(series.head_tail(n));
-    out
-}
-
-/// Appends the points of `series` in `[start, end)` to a fresh scratch
-/// buffer via the decode cache — bit-identical to
-/// [`TimeSeries::range_into`]: same [`TimeSeries::range_blocks`] run, and
-/// slicing a sorted decoded block by `partition_point` selects exactly the
-/// points its `skip_while`/`take_while` straddler walk would.
-fn range_via_cache(
-    series: &TimeSeries,
-    decode: &mut DecodeCache,
-    budget: usize,
-    start: Timestamp,
-    end: Timestamp,
-) -> ScratchPoints {
-    let blocks = series.range_blocks(start, end);
-    let head = points_in(series.head(), start, end);
-    let sealed: usize = blocks.iter().map(|b| b.count() as usize).sum();
-    let mut out = ScratchPoints::with_capacity(sealed + head.len());
-    for block in blocks {
-        out.extend_from_slice(points_in(decode.block_points(block, budget), start, end));
-    }
-    out.extend_from_slice(head);
-    out
-}
-
-/// How a shard read turns sealed blocks into points. Only
-/// [`TsdbStore::read_shard`] builds one, so the choice between the cached
-/// and the direct mode is made in one place; the points copied out are
-/// bit-identical in both.
-struct BlockReads<'a> {
-    /// The shard's decode cache and its byte budget (the shard is
-    /// write-locked); `None` decodes directly (the shard is read-locked).
-    cache: Option<(&'a mut DecodeCache, usize)>,
-    /// Direct decodes are tallied into
-    /// [`StoreStats::direct_blocks_decoded`] from summaries, so the tally
-    /// itself never decodes.
-    direct: &'a AtomicU64,
-}
-
-impl BlockReads<'_> {
-    /// The points of `series` in `[start, end)`.
-    fn range(&mut self, series: &TimeSeries, start: Timestamp, end: Timestamp) -> ScratchPoints {
-        match &mut self.cache {
-            Some((decode, budget)) => range_via_cache(series, decode, *budget, start, end),
-            None => {
-                self.direct
-                    .fetch_add(series.overlapping_block_count(start, end), Ordering::Relaxed);
-                series.range_scratch(start, end)
-            }
-        }
-    }
-
-    /// The last `n` points of `series`.
-    fn tail(&mut self, series: &TimeSeries, n: usize) -> ScratchPoints {
-        match &mut self.cache {
-            Some((decode, budget)) => tail_via_cache(series, decode, *budget, n),
-            None => {
-                self.direct.fetch_add(series.tail_block_count(n), Ordering::Relaxed);
-                series.tail_scratch(n)
-            }
-        }
-    }
-
-    /// Every point of `series` from `start` onward as columns — always a
-    /// direct decode: the copy is read once and kept by the reader, so
-    /// admitting its blocks would only push re-read ones out.
-    fn columns(&mut self, series: &TimeSeries, start: Timestamp) -> SeriesColumns {
-        self.direct.fetch_add(series.blocks_from(start).len() as u64, Ordering::Relaxed);
-        series.columns_from(start)
-    }
-}
-
-/// Classifies one series against a previously observed version and copies
-/// the minimal point set — the per-series body of
-/// [`TsdbStore::snapshot_deltas`].
-fn classify_delta(
-    series: &TimeSeries,
-    known: Option<SeriesVersion>,
-    start: Timestamp,
-    reads: &mut BlockReads<'_>,
-) -> SeriesDelta {
-    let current = SeriesVersion {
-        version: series.version(),
-        appended: series.appended(),
-    };
-    match known {
-        Some(k) if k.version == current.version => SeriesDelta::Unchanged { version: current },
-        // Append-only since `k`: every mutation bumped both counters by
-        // one, so the deltas agree and equal the number of new tail points.
-        Some(k)
-            if current.version.wrapping_sub(k.version)
-                == current.appended.wrapping_sub(k.appended)
-                && current.appended.wrapping_sub(k.appended) <= series.len() as u64 =>
-        {
-            let new = current.appended.wrapping_sub(k.appended) as usize;
-            SeriesDelta::Appended {
-                version: current,
-                tail: reads.tail(series, new),
-            }
-        }
-        _ => SeriesDelta::Reset {
-            version: current,
-            columns: reads.columns(series, start),
-        },
-    }
-}
-
 /// One lock domain: the series map plus its memory accounting. The
 /// resident counter is maintained incrementally (signed before/after delta
 /// around every mutation — sealing can *shrink* a series mid-append) so
@@ -454,7 +226,6 @@ struct Shard {
     resident_bytes: usize,
     evicted_blocks: u64,
     evicted_points: u64,
-    decode: DecodeCache,
 }
 
 impl Shard {
@@ -573,14 +344,9 @@ impl TsdbStore {
             let Some(series) = shard.map.get_mut(&id) else {
                 break;
             };
-            // Invalidate the victim's cache entry before the block is gone.
-            let front_seq = series.sealed_blocks().first().map(SealedBlock::seq);
             let Some((points, bytes)) = series.evict_front_block() else {
                 break;
             };
-            if let Some(seq) = front_seq {
-                shard.decode.remove(seq);
-            }
             shard.resident_bytes = shard.resident_bytes.saturating_sub(bytes);
             shard.evicted_blocks += 1;
             shard.evicted_points += points as u64;
@@ -731,10 +497,6 @@ impl TsdbStore {
                     resident_bytes: shard.resident_bytes,
                     evicted_blocks: shard.evicted_blocks,
                     evicted_points: shard.evicted_points,
-                    decode_cache_bytes: shard.decode.resident_bytes,
-                    decode_cache_hits: shard.decode.hits,
-                    decode_cache_misses: shard.decode.misses,
-                    decode_cache_evictions: shard.decode.evictions,
                     ..ShardStats::default()
                 };
                 for series in shard.map.values() {
@@ -761,36 +523,60 @@ impl TsdbStore {
         by_shard
     }
 
-    /// Runs `f` over one shard's series for a window or snapshot read,
-    /// holding the shard's lock exactly once — the one place that decides
-    /// the lock mode. With a decode cache configured
-    /// (`decode_cache_bytes > 0`, which [`StoreConfig::compressed`] sets)
-    /// the lock is taken in **write** mode and sealed blocks are served
-    /// from, and retained in, the shard's cache, so overlapping windows and
-    /// later rounds decode each block once (a reset copy,
-    /// [`BlockReads::columns`], decodes directly in either mode). Without
-    /// one the lock is taken in **read** mode and blocks are decoded
-    /// directly and counted.
-    fn read_shard<R>(
+    /// Tallies sealed blocks a read is about to decode. Callers count them
+    /// from summaries, so the tally itself never decodes.
+    fn tally_decoded(&self, blocks: u64) {
+        self.direct_blocks_decoded.fetch_add(blocks, Ordering::Relaxed);
+    }
+
+    /// The points of `series` in `[start, end)`, tallied.
+    fn range_counted(&self, series: &TimeSeries, start: Timestamp, end: Timestamp) -> ScratchPoints {
+        self.tally_decoded(series.overlapping_block_count(start, end));
+        series.range_scratch(start, end)
+    }
+
+    /// Classifies one series against a previously observed version and
+    /// copies the minimal point set — the per-series body of
+    /// [`TsdbStore::snapshot_deltas`].
+    fn classify_delta(
         &self,
-        shard: &OrderedRwLock<Shard>,
-        f: impl FnOnce(&BTreeMap<SeriesId, TimeSeries>, &mut BlockReads<'_>) -> R,
-    ) -> R {
-        let budget = self.config.decode_cache_bytes;
-        let direct = &self.direct_blocks_decoded;
-        if budget > 0 {
-            let mut guard = shard.write();
-            let Shard { map, decode, .. } = &mut *guard;
-            f(map, &mut BlockReads { cache: Some((decode, budget)), direct })
-        } else {
-            let guard = shard.read();
-            f(&guard.map, &mut BlockReads { cache: None, direct })
+        series: &TimeSeries,
+        known: Option<SeriesVersion>,
+        start: Timestamp,
+    ) -> SeriesDelta {
+        let current = SeriesVersion {
+            version: series.version(),
+            appended: series.appended(),
+        };
+        match known {
+            Some(k) if k.version == current.version => SeriesDelta::Unchanged { version: current },
+            // Append-only since `k`: every mutation bumped both counters by
+            // one, so the deltas agree and equal the number of new tail points.
+            Some(k)
+                if current.version.wrapping_sub(k.version)
+                    == current.appended.wrapping_sub(k.appended)
+                    && current.appended.wrapping_sub(k.appended) <= series.len() as u64 =>
+            {
+                let new = current.appended.wrapping_sub(k.appended) as usize;
+                self.tally_decoded(series.tail_block_count(new));
+                SeriesDelta::Appended {
+                    version: current,
+                    tail: series.tail_scratch(new),
+                }
+            }
+            _ => {
+                self.tally_decoded(series.blocks_from(start).len() as u64);
+                SeriesDelta::Reset {
+                    version: current,
+                    columns: series.columns_from(start),
+                }
+            }
         }
     }
 
     /// Extracts detection windows for one series at scan time `now`: the
-    /// raw scan range is copied out under one [`TsdbStore::read_shard`]
-    /// lock hold and windowed after it is released.
+    /// raw scan range is copied out under one shard read-lock hold and
+    /// windowed after it is released.
     pub fn windows(
         &self,
         id: &SeriesId,
@@ -798,21 +584,22 @@ impl TsdbStore {
         now: Timestamp,
     ) -> Result<WindowedData> {
         let (start, end) = snapshot_bounds(config, now);
-        let points = self.read_shard(self.shard(id), |map, reads| {
-            map.get(id).map(|series| reads.range(series, start, end))
-        });
+        let points = {
+            let shard = self.shard(id).read();
+            shard.map.get(id).map(|series| self.range_counted(series, start, end))
+        };
         let points = points.ok_or_else(|| TsdbError::SeriesNotFound(id.metric_id()))?;
         windows_from_points(&points, config, now)
     }
 
     /// Extracts detection windows for a whole batch of series, holding each
-    /// shard's lock once ([`TsdbStore::read_shard`]) and only long enough
-    /// to copy the raw scan ranges out. All windowing work (boundary
-    /// partitioning, cadence and coverage estimation, buffer assembly)
-    /// happens after that shard's lock is released, so detection workers
-    /// consuming the result never contend with writers. Per-entry results
-    /// mirror [`TsdbStore::windows`] exactly, including `SeriesNotFound`
-    /// and `EmptyWindow` errors.
+    /// shard's read lock once and only long enough to copy the raw scan
+    /// ranges out. All windowing work (boundary partitioning, cadence and
+    /// coverage estimation, buffer assembly) happens after that shard's
+    /// lock is released, so detection workers consuming the result never
+    /// contend with writers. Per-entry results mirror
+    /// [`TsdbStore::windows`] exactly, including `SeriesNotFound` and
+    /// `EmptyWindow` errors.
     pub fn snapshot_windows(
         &self,
         ids: &[&SeriesId],
@@ -826,12 +613,13 @@ impl TsdbStore {
             if indices.is_empty() {
                 continue;
             }
-            let copies: Vec<Option<ScratchPoints>> = self.read_shard(shard, |map, reads| {
+            let copies: Vec<Option<ScratchPoints>> = {
+                let shard = shard.read();
                 indices
                     .iter()
-                    .map(|&i| map.get(ids[i]).map(|series| reads.range(series, start, end)))
+                    .map(|&i| shard.map.get(ids[i]).map(|series| self.range_counted(series, start, end)))
                     .collect()
-            });
+            };
             for (&i, copy) in indices.iter().zip(copies) {
                 windows[i] = copy.map(|points| windows_from_points(&points, config, now));
             }
@@ -844,8 +632,8 @@ impl TsdbStore {
 
     /// Captures what changed in a batch of series since previously observed
     /// versions, copying only appended tails for append-only mutations. Each
-    /// shard's lock is held once ([`TsdbStore::read_shard`]), for the
-    /// duration of the raw point copies only.
+    /// shard's read lock is held once, for the duration of the raw point
+    /// copies only.
     ///
     /// `known[i]` is the version of `ids[i]` from the caller's last
     /// observation (`None` for a first observation). Entries beyond
@@ -864,15 +652,13 @@ impl TsdbStore {
             if indices.is_empty() {
                 continue;
             }
-            self.read_shard(shard, |map, reads| {
-                for &i in indices {
-                    // An absent series stays `Missing`.
-                    if let Some(series) = map.get(ids[i]) {
-                        deltas[i] =
-                            classify_delta(series, known.get(i).copied().flatten(), start, reads);
-                    }
+            let shard = shard.read();
+            for &i in indices {
+                // An absent series stays `Missing`.
+                if let Some(series) = shard.map.get(ids[i]) {
+                    deltas[i] = self.classify_delta(series, known.get(i).copied().flatten(), start);
                 }
-            });
+            }
         }
         deltas
     }
@@ -884,24 +670,14 @@ impl TsdbStore {
         let mut removed = 0;
         for shard in &self.shards {
             let mut guard = shard.write();
-            let Shard { map, resident_bytes, decode, .. } = &mut *guard;
-            let before_retain = map.len();
-            let mut expired = 0usize;
+            let Shard { map, resident_bytes, .. } = &mut *guard;
             map.retain(|_, series| {
                 let before = series.resident_bytes();
-                let dropped = series.expire_before(cutoff);
-                expired += dropped;
-                removed += dropped;
+                removed += series.expire_before(cutoff);
                 *resident_bytes =
                     (*resident_bytes + series.resident_bytes()).saturating_sub(before);
                 !series.is_empty()
             });
-            // Expiry drops and re-encodes an unknown set of blocks;
-            // wholesale invalidation is the cheap correct answer (stale
-            // seqs could never alias, but they would squat on cache budget).
-            if expired > 0 || map.len() != before_retain {
-                decode.clear();
-            }
         }
         removed
     }
@@ -1245,60 +1021,45 @@ mod tests {
             plain.snapshot_deltas(&refs, &[], &cfg, now),
             packed.snapshot_deltas(&refs, &[], &cfg, now)
         );
+        // Sealed-block reads are tallied; a plain store has none to decode.
+        assert!(packed.stats().blocks_decoded() > 0);
+        assert_eq!(plain.stats().blocks_decoded(), 0);
     }
 
     #[test]
-    fn snapshot_windows_served_from_decode_cache() {
+    fn window_and_snapshot_reads_share_the_shard_with_a_held_read_guard() {
         let cfg = WindowConfig {
             historic: 100 * 60,
             analysis: 50 * 60,
             extended: 25 * 60,
             rerun_interval: 600,
         };
-        let cached = TsdbStore::compressed();
-        let uncached = TsdbStore::with_config(StoreConfig {
-            seal_limit: StoreConfig::compressed().seal_limit,
-            shard_budget_bytes: None,
-            decode_cache_bytes: 0,
-        });
-        let mut ids = Vec::new();
-        for s in 0..8 {
-            let sid = id(&format!("s{s}"));
-            for t in 0..300u64 {
-                let v = ((t + s) as f64 * 0.01).sin();
-                cached.append(&sid, t * 60, v).unwrap();
-                uncached.append(&sid, t * 60, v).unwrap();
-            }
-            ids.push(sid);
-        }
+        let (_, packed, ids) = twin_stores(1, 300);
+        let sid = &ids[0];
+        assert!(packed.with_series(sid, |s| s.sealed_block_count()).unwrap() > 0);
         let now = 290 * 60;
-        let refs: Vec<&SeriesId> = ids.iter().collect();
-        let cached_bytes = |stats: &StoreStats| -> usize {
-            stats.shards.iter().map(|s| s.decode_cache_bytes).sum()
-        };
-        // First batch scan: every overlapping sealed block is a miss
-        // (counted into blocks_decoded); no hits yet, no re-decode either.
-        let first = cached.snapshot_windows(&refs, &cfg, now);
-        let stats = cached.stats();
-        assert!(stats.blocks_decoded() > 0, "seals must have been decoded");
-        assert_eq!(stats.decode_cache_hits(), 0);
-        let decoded_once = stats.blocks_decoded();
-        // Second identical scan: served entirely from the cache — the
-        // results stay byte-identical and the miss counter does not move.
-        let second = cached.snapshot_windows(&refs, &cfg, now);
-        assert_eq!(first, second);
-        let stats = cached.stats();
-        assert_eq!(stats.blocks_decoded(), decoded_once);
-        assert!(stats.decode_cache_hits() > 0, "repeat scan must hit the cache");
-        assert!(cached_bytes(&stats) > 0);
-        // The cache is a pure representation detail: the cache-off store
-        // (which decodes directly under a read lock) returns the same
-        // windows, and its direct decodes also land in blocks_decoded.
-        assert_eq!(first, uncached.snapshot_windows(&refs, &cfg, now));
-        let direct = uncached.stats();
-        assert!(direct.blocks_decoded() > 0);
-        assert_eq!(direct.decode_cache_hits(), 0);
-        assert_eq!(cached_bytes(&direct), 0);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            // Thread A (this one) holds the shard's read guard until thread
+            // B reports that all three read paths returned under it.
+            let in_time = packed
+                .with_series(sid, |_| {
+                    scope.spawn(|| {
+                        let known = match &packed.snapshot_deltas(&[sid], &[], &cfg, now)[0] {
+                            SeriesDelta::Reset { version, .. } => Some(*version),
+                            other => panic!("expected Reset, got {other:?}"),
+                        };
+                        packed.windows(sid, &cfg, now).unwrap();
+                        assert!(packed.snapshot_windows(&[sid], &cfg, now)[0].is_ok());
+                        let again = packed.snapshot_deltas(&[sid], &[known], &cfg, now);
+                        assert!(matches!(again[0], SeriesDelta::Unchanged { .. }));
+                        done.send(()).unwrap();
+                    });
+                    finished.recv_timeout(std::time::Duration::from_secs(2))
+                })
+                .unwrap();
+            assert!(in_time.is_ok(), "a store read waited for another reader's guard");
+        });
     }
 
     #[test]
@@ -1309,12 +1070,9 @@ mod tests {
             extended: 0,
             rerun_interval: 10,
         };
-        // A small decode cache so the cross-seal tail copies exercise the
-        // cached write-lock path.
         let store = TsdbStore::with_config(StoreConfig {
             seal_limit: 8,
             shard_budget_bytes: None,
-            decode_cache_bytes: 4_096,
         });
         let a = id("a");
         for t in 0..20u64 {
@@ -1373,7 +1131,6 @@ mod tests {
         let config = StoreConfig {
             seal_limit: 16,
             shard_budget_bytes: Some(2_000),
-            decode_cache_bytes: 2_048,
         };
         let store = TsdbStore::with_config(config);
         // Everything lands in one series -> one shard; enough noisy data
@@ -1420,7 +1177,6 @@ mod tests {
         let config = StoreConfig {
             seal_limit: 16,
             shard_budget_bytes: Some(1_000),
-            decode_cache_bytes: 0,
         };
         let store = TsdbStore::with_config(config);
         let a = id("a");

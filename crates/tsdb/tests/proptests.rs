@@ -397,7 +397,6 @@ proptest! {
         let store = TsdbStore::with_config(StoreConfig {
             seal_limit,
             shard_budget_bytes: None,
-            decode_cache_bytes: 2_048,
         });
         let id = SeriesId::new("svc", MetricKind::GCpu, "s");
         let mut t = 0u64;
