@@ -48,7 +48,7 @@ pub mod went_away;
 pub use config::{DetectorConfig, Threshold};
 pub use error::DetectError;
 pub use pipeline::{Pipeline, ScanBudget, ScanContext, ScanOutcome};
-pub use profile::{StageNanos, StageProfile};
+pub use profile::StageNanos;
 pub use quarantine::{FaultKind, Quarantine, QuarantineConfig};
 pub use scan_state::{EngineStats, OnlinePolicy, StreamingEngine};
 pub use types::{FunnelCounters, Regression, RegressionKind, ScanHealth};

@@ -15,14 +15,12 @@
 //!    variance-minimizing partition point.
 
 use crate::config::{DetectorConfig, Threshold};
-use crate::scan_cache::ScanCache;
+use crate::seasonality::SeasonalArtifacts;
 use crate::types::{Regression, RegressionKind};
 use crate::Result;
-use fbd_stats::acf;
 use fbd_stats::changepoint::optimal_single_split;
 use fbd_stats::descriptive;
 use fbd_stats::regression::linear_fit;
-use fbd_stats::stl::{decompose, StlConfig};
 use fbd_tsdb::{SeriesId, Timestamp, WindowedData};
 
 /// Loess window fraction of the no-seasonality trend fallback. Every site
@@ -117,24 +115,22 @@ impl LongTermDetector {
         windows: &WindowedData,
         _now: Timestamp,
     ) -> Result<Option<Regression>> {
-        self.detect_cached(series, windows, None)
+        self.detect_with(series, windows, &mut SeasonalArtifacts::default())
     }
 
-    /// [`Self::detect`] with a cross-scan [`ScanCache`]: the seasonality
-    /// search and the STL decomposition are reused when this series' window
-    /// is unchanged since a previous round.
-    pub(crate) fn detect_cached(
+    /// [`Self::detect`] leaving its seasonality search and STL
+    /// decomposition in `artifacts`, for the filters that run on the same
+    /// window later in the round.
+    pub fn detect_with(
         &self,
         series: &SeriesId,
         windows: &WindowedData,
-        cache: Option<&ScanCache>,
+        artifacts: &mut SeasonalArtifacts,
     ) -> Result<Option<Regression>> {
-        let data = windows.all();
-        if data.len() < 16 || self.prefilter_says_flat(windows) {
+        if windows.all().len() < 16 || self.prefilter_says_flat(windows) {
             return Ok(None);
         }
-        let period = self.stl_period(series, data, cache)?;
-        self.detect_inner(series, windows, period, cache)
+        self.detect_inner(series, windows, artifacts)
     }
 
     /// Cheap O(n) trend pre-filter.
@@ -179,25 +175,6 @@ impl LongTermDetector {
         self.threshold.refuted_by(baseline_lb, current_ub)
     }
 
-    /// The period whose STL trend the detector works on, or 0 when the
-    /// series has no seasonality STL can use (none found, or fewer than two
-    /// full periods of data) and a wide Loess smooth stands in.
-    fn stl_period(
-        &self,
-        series: &SeriesId,
-        data: &[f64],
-        cache: Option<&ScanCache>,
-    ) -> Result<usize> {
-        let season = match cache {
-            Some(c) => c.seasonality(series, data, 2, self.max_period, self.acf_threshold)?,
-            None => acf::find_seasonality(data, 2, self.max_period, self.acf_threshold)?,
-        };
-        Ok(season
-            .map(|s| s.period)
-            .filter(|&p| p >= 2 && data.len() >= p * 2)
-            .unwrap_or(0))
-    }
-
     /// The full STL/Loess detection path, without the pre-filter. Public so
     /// tests can verify the pre-filter only skips series this path rejects.
     pub fn detect_without_prefilter(
@@ -206,32 +183,37 @@ impl LongTermDetector {
         windows: &WindowedData,
         _now: Timestamp,
     ) -> Result<Option<Regression>> {
-        let data = windows.all();
-        if data.len() < 16 {
+        if windows.all().len() < 16 {
             return Ok(None);
         }
-        let period = self.stl_period(series, data, None)?;
-        self.detect_inner(series, windows, period, None)
+        self.detect_inner(series, windows, &mut SeasonalArtifacts::default())
     }
 
-    /// Steps 1–3 for a window of at least 16 points whose
-    /// [`Self::stl_period`] is already known.
+    /// Steps 1–3 for a window of at least 16 points.
     fn detect_inner(
         &self,
         series: &SeriesId,
         windows: &WindowedData,
-        period: usize,
-        cache: Option<&ScanCache>,
+        artifacts: &mut SeasonalArtifacts,
     ) -> Result<Option<Regression>> {
         let data = windows.all();
-        // Step 1: seasonality decomposition; the trend is the subject.
-        let trend = match cache {
-            // The seasonality filter decomposes the same `(data, period)`
-            // later in the round; the shared slot makes that one STL run.
-            Some(c) if period >= 2 => c.decomposition(series, data, period)?.trend,
-            None if period >= 2 => decompose(data, StlConfig::for_period(period))?.trend,
+        // Step 1: seasonality decomposition; the trend is the subject. The
+        // period is 0 when the series has no seasonality STL can use (none
+        // found, or fewer than two full periods of data).
+        let period = artifacts
+            .seasonality(data, self.max_period, self.acf_threshold)?
+            .map(|s| s.period)
+            .filter(|&p| p >= 2 && data.len() >= p * 2)
+            .unwrap_or(0);
+        let smoothed;
+        let trend: &[f64] = if period >= 2 {
+            // The seasonality filter takes the other two components of the
+            // same decomposition later in the round.
+            &artifacts.decomposition(data, period)?.trend
+        } else {
             // No seasonality: a wide Loess smooth stands in for the trend.
-            _ => fbd_stats::stl::loess_smooth_uniform(data, TREND_FRACTION)?,
+            smoothed = fbd_stats::stl::loess_smooth_uniform(data, TREND_FRACTION)?;
+            &smoothed
         };
         // Step 2: regression detection on the trend alone.
         let h_len = windows.historic_len();
@@ -248,7 +230,7 @@ impl LongTermDetector {
             return Ok(None);
         }
         // Step 3: change-point location.
-        let mut normalized = trend.clone();
+        let mut normalized = trend.to_vec();
         let cp = match descriptive::z_normalize(&mut normalized) {
             Ok(_) => {
                 let fit = linear_fit(&normalized)?;
@@ -258,7 +240,7 @@ impl LongTermDetector {
                     // the trend.
                     0
                 } else {
-                    optimal_single_split(&trend)?.index
+                    optimal_single_split(trend)?.index
                 }
             }
             Err(_) => 0, // Constant trend cannot reach here, but be safe.
@@ -498,10 +480,10 @@ mod tests {
         // The prefix pre-filter of `detect` may not refute — or swallow an
         // error of — a window the full path would not: across flats, ramps,
         // steps, near-threshold margins, seasonal series, analysis windows
-        // too short to bound, and a NaN in each region, `detect` with and
-        // without a cache must agree with `detect_without_prefilter` on
-        // `Ok`/`Err`, and any reported regression must be bit-identical.
-        use crate::scan_cache::ScanCache;
+        // too short to bound, and a NaN in each region, `detect` — computing
+        // its seasonality/STL answers or served them from shared artifacts —
+        // must agree with `detect_without_prefilter` on `Ok`/`Err`, and any
+        // reported regression must be bit-identical.
         let seasonal: Vec<f64> = (0..200)
             .map(|i| 1.0 + 0.3 * (i as f64 / 12.0 * std::f64::consts::TAU).sin())
             .collect();
@@ -551,13 +533,20 @@ mod tests {
                 assert_eq!(
                     render(d.detect(&sid(), w, 0)),
                     oracle,
-                    "case {i} thr {thr}: cache-less detect diverged from the full path"
+                    "case {i} thr {thr}: detect diverged from the full path"
                 );
+                let mut artifacts = SeasonalArtifacts::default();
+                let computed = render(d.detect_with(&sid(), w, &mut artifacts));
+                let kernels_run = artifacts.reuse.misses;
                 assert_eq!(
-                    render(d.detect_cached(&sid(), w, Some(&ScanCache::new()))),
-                    oracle,
-                    "case {i} thr {thr}: cached detect diverged from the full path"
+                    render(d.detect_with(&sid(), w, &mut artifacts)),
+                    computed,
+                    "case {i} thr {thr}: served answers changed the outcome"
                 );
+                assert_eq!(computed, oracle, "case {i} thr {thr}: detect_with diverged");
+                if oracle.starts_with("Ok") {
+                    assert_eq!(artifacts.reuse.misses, kernels_run, "case {i} thr {thr}: a kernel re-ran");
+                }
             }
         }
         assert!(reported > 0 && errored > 0, "{reported} reports, {errored} errors: vacuous");

@@ -7,10 +7,12 @@
 //! seasonality filters (STL is built into it) and joins at threshold
 //! filtering. Per-stage [`FunnelCounters`] reproduce Table 3.
 //!
-//! Series scanning is embarrassingly parallel; the expensive per-series
-//! detection step fans out across threads with `crossbeam::scope`, one
-//! store shard at a time ([`Pipeline::detect_sharded`]), matching the
-//! paper's "scanning different time series in parallel".
+//! Series scanning is embarrassingly parallel; the per-series steps —
+//! both detectors and the went-away and seasonality filters, which are pure
+//! functions of one candidate — fan out across threads with
+//! `crossbeam::scope`, one store shard at a time
+//! ([`Pipeline::detect_sharded`]), matching the paper's "scanning different
+//! time series in parallel".
 //!
 //! The scan acts as a fault-tolerant *supervisor*: each per-series
 //! detection task runs under `catch_unwind`, failing series are parked in a
@@ -25,12 +27,14 @@ use crate::dedup::pairwise_dedup::{MergeRule, PairwiseDedup, RuleCombination};
 use crate::dedup::same_merger::SameRegressionMerger;
 use crate::dedup::som_dedup::{som_dedup, SomDedupConfig};
 use crate::long_term::LongTermDetector;
-use crate::profile::{StageNanos, StageProfile};
+use crate::profile::StageNanos;
 use crate::quarantine::{FaultKind, Quarantine, QuarantineConfig};
 use crate::root_cause::{RcaContext, RootCauseAnalyzer};
-use crate::scan_cache::{self, CacheStats, ScanCache};
-use crate::scan_state::{CachedScan, EngineStats, OnlinePolicy, Prepared, StreamingEngine};
-use crate::seasonality::SeasonalityDetector;
+use crate::scan_cache::CacheStats;
+use crate::scan_state::{
+    CachedScan, EngineStats, OnlinePolicy, Prepared, ShortVerdict, StreamingEngine,
+};
+use crate::seasonality::{SeasonalArtifacts, SeasonalityDetector};
 use crate::types::{FunnelCounters, Regression, ScanHealth};
 use crate::went_away::{WentAwayDetector, WentAwayStats};
 use crate::{DetectError, Result};
@@ -112,13 +116,36 @@ pub type ChaosHook = Arc<dyn Fn(&SeriesId) + Send + Sync>;
 /// engine's replayable verdict, or the detector error that prevented one.
 type SeriesScan = std::result::Result<CachedScan, DetectError>;
 
+/// Scan telemetry: per-stage wall time, how often a seasonality/STL answer
+/// or a filter verdict was reused, and which went-away term decided each
+/// candidate. Kept out of [`ScanHealth`]/[`FunnelCounters`] so warm-vs-cold
+/// scan fingerprints stay byte-identical. Each worker accumulates one on
+/// its stack and hands it over with its batch; the pipeline keeps the
+/// cumulative one.
+#[derive(Default)]
+struct Tally {
+    stages: StageNanos,
+    reuse: CacheStats,
+    went_away: WentAwayStats,
+}
+
+impl Tally {
+    fn accumulate(&mut self, other: &Tally) {
+        self.stages.accumulate(&other.stages);
+        self.reuse.accumulate(&other.reuse);
+        self.went_away.accumulate(&other.went_away);
+    }
+}
+
 /// Aggregated result of the supervised detection stage.
 #[derive(Default)]
 struct DetectBatch {
-    short: Vec<Regression>,
+    /// Every short-term candidate with the filters' verdict on it.
+    short: Vec<(Regression, ShortVerdict)>,
     long: Vec<Regression>,
     partial: usize,
     faults: Vec<(SeriesId, FaultKind, String)>,
+    tally: Tally,
 }
 
 /// Renders a caught panic payload for quarantine records.
@@ -151,19 +178,12 @@ pub struct Pipeline {
     pub budget: ScanBudget,
     /// Optional fault-injection hook (chaos drills).
     chaos_hook: Option<ChaosHook>,
-    /// Cross-scan per-series artifact cache (seasonality, STL, filter verdicts).
-    cache: ScanCache,
     /// Streaming incremental scan engine (round-over-round reuse of window
     /// snapshots, statistics, and quiet verdicts); `None` disables it and
     /// every round re-extracts from batched store snapshots.
     streaming: Option<StreamingEngine>,
-    /// Cumulative per-stage wall-time attribution (telemetry only — kept
-    /// out of [`ScanHealth`]/[`FunnelCounters`] so warm-vs-cold scan
-    /// fingerprints stay byte-identical).
-    stage_profile: StageProfile,
-    /// Which went-away term decided each candidate, cumulative (telemetry
-    /// only, like `stage_profile`).
-    went_away_stats: WentAwayStats,
+    /// Cumulative telemetry across every scan so far.
+    tally: Tally,
     /// Number of detection worker threads.
     pub threads: usize,
 }
@@ -187,12 +207,10 @@ impl Pipeline {
             ),
             budget: ScanBudget::default(),
             chaos_hook: None,
-            cache: ScanCache::new(),
             streaming: Some(
                 StreamingEngine::new(config.windows).with_online_policy(Self::online_policy(&config)),
             ),
-            stage_profile: StageProfile::default(),
-            went_away_stats: WentAwayStats::default(),
+            tally: Tally::default(),
             threads: 4,
             config,
         })
@@ -213,9 +231,10 @@ impl Pipeline {
         &self.quarantine
     }
 
-    /// Hit/miss counters of the cross-scan artifact cache.
+    /// Reuse counters of the seasonality/STL answers shared within a
+    /// series' round and of the filter verdicts replayed across rounds.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.tally.reuse
     }
 
     /// Enables or disables the streaming incremental scan engine.
@@ -257,14 +276,14 @@ impl Pipeline {
     /// Benchmarks snapshot this before and after a round and diff with
     /// [`StageNanos::since`] to attribute that round stage by stage.
     pub fn stage_profile(&self) -> StageNanos {
-        self.stage_profile.snapshot()
+        self.tally.stages
     }
 
     /// How many short-term candidates each term of the went-away predicate
     /// decided (and how many verdicts were replayed), cumulative across
     /// every scan so far.
     pub fn went_away_stats(&self) -> WentAwayStats {
-        self.went_away_stats
+        self.tally.went_away
     }
 
     /// Installs a fault-injection hook called for every series before
@@ -304,9 +323,6 @@ impl Pipeline {
         context: &ScanContext<'_>,
     ) -> Result<ScanOutcome> {
         let scan_started = Instant::now();
-        // Advance the artifact cache's round clock (drives size-capped
-        // eviction of cold entries).
-        self.cache.note_round();
         let mut funnel = FunnelCounters::default();
         let mut health = ScanHealth {
             series_total: series.len(),
@@ -332,8 +348,9 @@ impl Pipeline {
         if let Some(engine) = self.streaming.as_mut() {
             engine.round_prologue(now);
         }
-        // --- Stage 1: change-point detection, parallel across shards,
-        // each series isolated under `catch_unwind`. ---
+        // --- Stages 1–3: change-point detection and the went-away and
+        // seasonality filters on its short-term candidates, parallel across
+        // shards, each series isolated under `catch_unwind`. ---
         let batch = self.detect_sharded(store, &eligible, now)?;
         // --- Streaming round close: stale engine states are swept. ---
         if let Some(engine) = self.streaming.as_mut() {
@@ -360,85 +377,11 @@ impl Pipeline {
         for (id, kind, detail) in &batch.faults {
             self.quarantine.record_failure(id, *kind, detail.clone(), now);
         }
-        let (short, long) = (batch.short, batch.long);
-        funnel.change_points = short.len() + long.len();
-        // Serial-stage wall-time attribution for this scan, flushed into
-        // the shared profile at every return site.
+        let (deseasoned, long) = self.tally_filters(batch, &mut funnel, &mut health, now);
+        // Serial-stage wall-time attribution for this scan, added to the
+        // cumulative tally at every return site.
         let mut serial = StageNanos::default();
         let mut stage_t = Instant::now();
-        // --- Stage 2: went-away detection (short-term only). A filter
-        // error drops the candidate and quarantines its series. Verdicts
-        // are memoized per candidate: on the scheduler cadence an unmoved
-        // watermark replays bit-identical candidates, so the filter's
-        // `keep` decision is replayed instead of recomputed. ---
-        let mut kept_short = Vec::with_capacity(short.len());
-        let mut candidate_keys = Vec::with_capacity(short.len());
-        for r in short {
-            let key = scan_cache::candidate_key(&r);
-            let keep = match self.cache.went_away_keep(&r.series, key) {
-                Some(keep) => {
-                    self.went_away_stats.replayed += 1;
-                    Ok(keep)
-                }
-                None => self
-                    .went_away
-                    .evaluate_with_cache(&r, Some(&self.cache))
-                    .map(|v| {
-                        self.went_away_stats.record(v.decided_by);
-                        self.cache.store_went_away_keep(&r.series, key, v.keep);
-                        v.keep
-                    }),
-            };
-            match keep {
-                Ok(true) => {
-                    kept_short.push(r);
-                    candidate_keys.push(key);
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    health.errored += 1;
-                    self.quarantine.record_failure(
-                        &r.series,
-                        FaultKind::DetectorError,
-                        e.to_string(),
-                        now,
-                    );
-                }
-            }
-        }
-        funnel.after_went_away = kept_short.len() + long.len();
-        serial.went_away = stage_t.elapsed().as_nanos() as u64;
-        stage_t = Instant::now();
-        // --- Stage 3: seasonality detection (short-term only). ---
-        let mut deseasoned = Vec::with_capacity(kept_short.len());
-        for (r, key) in kept_short.into_iter().zip(candidate_keys) {
-            let keep = match self.cache.seasonality_keep(&r.series, key) {
-                Some(keep) => Ok(keep),
-                None => self
-                    .seasonality
-                    .evaluate_with_cache(&r, Some(&self.cache))
-                    .map(|v| {
-                        self.cache.store_seasonality_keep(&r.series, key, v.keep);
-                        v.keep
-                    }),
-            };
-            match keep {
-                Ok(true) => deseasoned.push(r),
-                Ok(false) => {}
-                Err(e) => {
-                    health.errored += 1;
-                    self.quarantine.record_failure(
-                        &r.series,
-                        FaultKind::DetectorError,
-                        e.to_string(),
-                        now,
-                    );
-                }
-            }
-        }
-        funnel.after_seasonality = deseasoned.len() + long.len();
-        serial.seasonality = stage_t.elapsed().as_nanos() as u64;
-        stage_t = Instant::now();
         // --- Stage 4: threshold filtering (Table 1). ---
         let mut thresholded: Vec<Regression> = deseasoned
             .into_iter()
@@ -467,7 +410,7 @@ impl Pipeline {
             funnel.after_som_dedup = thresholded.len();
             funnel.after_cost_shift = thresholded.len();
             funnel.after_pairwise_dedup = thresholded.len();
-            self.stage_profile.add(&serial);
+            self.tally.stages.accumulate(&serial);
             return Ok(ScanOutcome {
                 reports: thresholded,
                 funnel,
@@ -613,12 +556,47 @@ impl Pipeline {
             }
         }
         serial.root_cause = stage_t.elapsed().as_nanos() as u64;
-        self.stage_profile.add(&serial);
+        self.tally.stages.accumulate(&serial);
         Ok(ScanOutcome {
             reports,
             funnel,
             health,
         })
+    }
+
+    /// What is left of stages 2–3 on the scan thread: sums the workers'
+    /// filter verdicts into the funnel and returns the short-term candidates
+    /// both filters kept, with the long-term ones. A filter error dropped
+    /// its candidate and quarantines the series (which still counts as
+    /// scanned): went-away errors first, each filter's in series order.
+    fn tally_filters(
+        &mut self,
+        batch: DetectBatch,
+        funnel: &mut FunnelCounters,
+        health: &mut ScanHealth,
+        now: Timestamp,
+    ) -> (Vec<Regression>, Vec<Regression>) {
+        self.tally.accumulate(&batch.tally);
+        let long = batch.long;
+        funnel.change_points = batch.short.len() + long.len();
+        funnel.after_went_away = long.len();
+        let mut deseasoned = Vec::new();
+        let (mut went_away_errors, mut seasonality_errors) = (Vec::new(), Vec::new());
+        for (r, verdict) in batch.short {
+            funnel.after_went_away += usize::from(verdict.past_went_away());
+            match verdict {
+                ShortVerdict::Kept => deseasoned.push(r),
+                ShortVerdict::WentAway | ShortVerdict::Seasonal => {}
+                ShortVerdict::WentAwayError(detail) => went_away_errors.push((r.series, detail)),
+                ShortVerdict::SeasonalityError(detail) => seasonality_errors.push((r.series, detail)),
+            }
+        }
+        for (id, detail) in went_away_errors.into_iter().chain(seasonality_errors) {
+            health.errored += 1;
+            self.quarantine.record_failure(&id, FaultKind::DetectorError, detail, now);
+        }
+        funnel.after_seasonality = deseasoned.len() + long.len();
+        (deseasoned, long)
     }
 
     /// Runs detection on freshly extracted *raw* windows (the store /
@@ -630,7 +608,7 @@ impl Pipeline {
         id: &SeriesId,
         windows: fbd_tsdb::Result<WindowedData>,
         now: Timestamp,
-        prof: &mut StageNanos,
+        tally: &mut Tally,
     ) -> SeriesScan {
         let mut windows = match windows {
             Ok(w) => w,
@@ -648,34 +626,73 @@ impl Pipeline {
             }
         }
         Self::orient(&mut windows, id.metric);
-        self.run_detectors(id, &windows, now, prof)
+        self.run_detectors(id, &windows, now, tally)
     }
 
     /// Runs the short- and long-term detectors over one series' oriented,
-    /// gated windows — the one place a scan calls them, whichever way the
-    /// windows were obtained.
+    /// gated windows, then the went-away and seasonality filters on the
+    /// short-term candidate — the one place a scan calls them, whichever
+    /// way the windows were obtained. The three consumers of a seasonality
+    /// search or STL decomposition of these windows share one
+    /// [`SeasonalArtifacts`].
     fn run_detectors(
         &self,
         id: &SeriesId,
         windows: &WindowedData,
         now: Timestamp,
-        prof: &mut StageNanos,
+        tally: &mut Tally,
     ) -> SeriesScan {
         let t = Instant::now();
         let short = self.change_point.detect(id, windows, now)?;
-        prof.short_term += t.elapsed().as_nanos() as u64;
+        tally.stages.short_term += t.elapsed().as_nanos() as u64;
+        let mut artifacts = SeasonalArtifacts::default();
         let t = Instant::now();
         let long = if self.config.long_term_enabled {
-            self.long_term.detect_cached(id, windows, Some(&self.cache))?
+            self.long_term.detect_with(id, windows, &mut artifacts)
         } else {
-            None
+            Ok(None)
         };
-        prof.long_term += t.elapsed().as_nanos() as u64;
-        Ok(CachedScan::Ok {
-            short,
+        tally.stages.long_term += t.elapsed().as_nanos() as u64;
+        let scan = long.map(|long| CachedScan::Ok {
+            short: short.map(|r| {
+                let verdict = self.filter_short(&r, &mut artifacts, tally);
+                (r, verdict)
+            }),
             long,
             partial: windows.coverage.is_partial(self.budget.min_coverage),
-        })
+        });
+        tally.reuse.accumulate(&artifacts.reuse);
+        scan
+    }
+
+    /// Stages 2–3 for one short-term candidate: the went-away filter, then
+    /// (when it keeps the candidate) the seasonality filter.
+    fn filter_short(
+        &self,
+        r: &Regression,
+        artifacts: &mut SeasonalArtifacts,
+        tally: &mut Tally,
+    ) -> ShortVerdict {
+        let t = Instant::now();
+        let went_away = self.went_away.evaluate_with(r, artifacts);
+        tally.stages.went_away += t.elapsed().as_nanos() as u64;
+        match went_away {
+            Ok(v) => {
+                tally.went_away.record(v.decided_by);
+                if !v.keep {
+                    return ShortVerdict::WentAway;
+                }
+            }
+            Err(e) => return ShortVerdict::WentAwayError(e.to_string()),
+        }
+        let t = Instant::now();
+        let seasonality = self.seasonality.evaluate_with(r, artifacts);
+        tally.stages.seasonality += t.elapsed().as_nanos() as u64;
+        match seasonality {
+            Ok(v) if v.keep => ShortVerdict::Kept,
+            Ok(_) => ShortVerdict::Seasonal,
+            Err(e) => ShortVerdict::SeasonalityError(e.to_string()),
+        }
     }
 
     /// Runs detection for one series through the streaming engine: replays
@@ -689,26 +706,35 @@ impl Pipeline {
         engine: &StreamingEngine,
         id: &SeriesId,
         now: Timestamp,
-        prof: &mut StageNanos,
+        tally: &mut Tally,
     ) -> SeriesScan {
         let t = Instant::now();
         let prepared = engine.prepare(id, self.budget.min_finite_fraction, self.budget.min_coverage);
-        prof.windowing += t.elapsed().as_nanos() as u64;
+        tally.stages.windowing += t.elapsed().as_nanos() as u64;
         match prepared {
             Prepared::Fallback => {
                 let t = Instant::now();
                 let windows = store.windows(id, &self.config.windows, now);
-                prof.windowing += t.elapsed().as_nanos() as u64;
-                self.detect_windowed(id, windows, now, prof)
+                tally.stages.windowing += t.elapsed().as_nanos() as u64;
+                self.detect_windowed(id, windows, now, tally)
             }
-            Prepared::Reuse(outcome) => Ok(outcome),
+            Prepared::Reuse(outcome) => {
+                // Only Level A replays a candidate, and with it the
+                // filters' verdict(s) on it.
+                if let CachedScan::Ok { short: Some((_, verdict)), .. } = &outcome {
+                    tally.went_away.replayed += 1;
+                    tally.reuse.hits += 1 + u64::from(verdict.past_went_away());
+                }
+                Ok(outcome)
+            }
             Prepared::Scan { windows, token } => {
-                let scan = self.run_detectors(id, &windows, now, prof);
-                // A detector error records nothing but still returns the
+                let scan = self.run_detectors(id, &windows, now, tally);
+                // A detector error records nothing (nor, by the engine's
+                // own rule, does a filter error) but still returns the
                 // window buffer to the engine.
                 let t = Instant::now();
                 engine.complete(id, token, scan.as_ref().ok().cloned(), windows);
-                prof.complete += t.elapsed().as_nanos() as u64;
+                tally.stages.complete += t.elapsed().as_nanos() as u64;
                 scan
             }
         }
@@ -755,8 +781,9 @@ impl Pipeline {
             batch.long.extend(part.long);
             batch.partial += part.partial;
             batch.faults.extend(part.faults);
+            batch.tally.accumulate(&part.tally);
         }
-        batch.short.sort_by(|a, b| a.series.cmp(&b.series));
+        batch.short.sort_by(|a, b| a.0.series.cmp(&b.0.series));
         batch.long.sort_by(|a, b| a.series.cmp(&b.series));
         batch.faults.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(batch)
@@ -784,9 +811,10 @@ impl Pipeline {
     /// [`Pipeline::scan`].
     ///
     /// Lock acquisition order follows the workspace hierarchy in
-    /// `LOCK_ORDER.manifest` (engine-shard before store-shard, scan-cache
-    /// as a leaf), enforced statically by fbd-lint's `lock-order` rule and
-    /// dynamically by the [`fbd_sync`] debug validator.
+    /// `LOCK_ORDER.manifest` (engine-shard before store-shard; the
+    /// detectors and filters take no lock), enforced statically by
+    /// fbd-lint's `lock-order` rule and dynamically by the [`fbd_sync`]
+    /// debug validator.
     fn detect_sharded(
         &self,
         store: &TsdbStore,
@@ -812,30 +840,30 @@ impl Pipeline {
                 let work = &work;
                 handles.push(scope.spawn(move |_| {
                     let mut part = DetectBatch::default();
-                    let mut prof = StageNanos::default();
+                    let mut tally = Tally::default();
                     loop {
                         let w = next.fetch_add(1, Ordering::Relaxed);
                         let Some((shard_idx, ids)) = work.get(w) else { break };
                         let t = Instant::now();
                         if let Some(engine) = self.streaming.as_ref() {
                             engine.ingest_shard(store, *shard_idx, ids, now);
-                            prof.ingest += t.elapsed().as_nanos() as u64;
+                            tally.stages.ingest += t.elapsed().as_nanos() as u64;
                             for &id in ids {
                                 self.supervise(&mut part, id, || {
-                                    self.detect_one_streaming(store, engine, id, now, &mut prof)
+                                    self.detect_one_streaming(store, engine, id, now, &mut tally)
                                 });
                             }
                         } else {
                             let windows = store.snapshot_windows(ids, &self.config.windows, now);
-                            prof.windowing += t.elapsed().as_nanos() as u64;
+                            tally.stages.windowing += t.elapsed().as_nanos() as u64;
                             for (&id, windows) in ids.iter().zip(windows) {
                                 self.supervise(&mut part, id, || {
-                                    self.detect_windowed(id, windows, now, &mut prof)
+                                    self.detect_windowed(id, windows, now, &mut tally)
                                 });
                             }
                         }
                     }
-                    self.stage_profile.add(&prof);
+                    part.tally = tally;
                     part
                 }));
             }
@@ -1238,6 +1266,80 @@ mod tests {
         assert!(f.after_same_merger >= f.after_som_dedup);
         assert!(f.after_som_dedup >= f.after_cost_shift);
         assert!(f.after_cost_shift >= f.after_pairwise_dedup);
+    }
+
+    #[test]
+    fn filter_error_costs_the_short_candidate_and_nothing_else() {
+        let mut p = Pipeline::new(test_config(0.005)).unwrap();
+        let sid = |name: &str| SeriesId::new("svc", MetricKind::GCpu, name);
+        let candidate = |id: &SeriesId, kind, historic: &[f64]| {
+            let analysis: Vec<f64> =
+                (0..100u64).map(|t| if t < 30 { 1.0 } else { 1.6 } + noise(t, 0.1)).collect();
+            let extended: Vec<f64> = (0..100u64).map(|t| 1.6 + noise(t ^ 7, 0.1)).collect();
+            Regression {
+                series: id.clone(),
+                kind,
+                change_index: 329,
+                change_time: 0,
+                mean_before: 1.0,
+                mean_after: 1.6,
+                windows: WindowedData::from_regions(historic, &analysis, &extended, 0, 100),
+                root_cause_candidates: Vec::new(),
+            }
+        };
+        // Finite samples whose spread overflows error in went-away.
+        let overflowing: Vec<f64> =
+            (0..300).map(|i| if i % 3 == 0 { -1.7e308 } else { 1.7e308 }).collect();
+        let mut tally = Tally::default();
+        let verdict = p.filter_short(
+            &candidate(&sid("a"), crate::types::RegressionKind::ShortTerm, &overflowing),
+            &mut SeasonalArtifacts::default(),
+            &mut tally,
+        );
+        let ShortVerdict::WentAwayError(detail) = verdict else {
+            panic!("went-away must error: {verdict:?}");
+        };
+        assert_eq!(tally.went_away, WentAwayStats::default(), "an error is not a decision");
+        // Through a scan's tail: the candidate still counts as found (and,
+        // for a seasonality error, as past went-away), the long-term
+        // candidate survives, and the series is not a detection fault — it
+        // counts as scanned — but is quarantined as a detector error.
+        let quiet: Vec<f64> = (0..300u64).map(|t| 1.0 + noise(t, 0.1)).collect();
+        let mut part = DetectBatch::default();
+        type Errored = fn(String) -> ShortVerdict;
+        for (name, errored) in [
+            ("c", ShortVerdict::WentAwayError as Errored),
+            ("b", ShortVerdict::SeasonalityError),
+            ("a", ShortVerdict::WentAwayError),
+        ] {
+            let id = sid(name);
+            p.supervise(&mut part, &id, || {
+                Ok(CachedScan::Ok {
+                    short: Some((
+                        candidate(&id, crate::types::RegressionKind::ShortTerm, &quiet),
+                        errored(format!("{name}: {detail}")),
+                    )),
+                    long: Some(candidate(&id, crate::types::RegressionKind::LongTerm, &quiet)),
+                    partial: false,
+                })
+            });
+        }
+        let batch = Pipeline::join_batches(vec![Ok(part)]).unwrap();
+        assert!(batch.faults.is_empty());
+        let (mut funnel, mut health) = (FunnelCounters::default(), ScanHealth::default());
+        let (deseasoned, long) = p.tally_filters(batch, &mut funnel, &mut health, 4_500);
+        assert!(deseasoned.is_empty());
+        assert_eq!(long.len(), 3);
+        assert_eq!(
+            (funnel.change_points, funnel.after_went_away, funnel.after_seasonality),
+            (6, 4, 3)
+        );
+        assert_eq!(health.errored, 3);
+        for name in ["a", "b", "c"] {
+            let entry = p.quarantine().entry(&sid(name)).expect("quarantined");
+            assert_eq!(entry.kind, FaultKind::DetectorError);
+            assert!(entry.detail.starts_with(name));
+        }
     }
 
     #[test]

@@ -4,16 +4,14 @@
 //! outcomes are byte-identical, fingerprinting `reports + funnel + health`
 //! every round. Wall time is never byte-identical, so stage timings must
 //! live *outside* [`crate::types::ScanHealth`] and
-//! [`crate::types::FunnelCounters`]: this module keeps them in a separate
-//! atomic accumulator on the pipeline, read through
-//! [`crate::pipeline::Pipeline::stage_profile`]. Workers accumulate into a
-//! plain [`StageNanos`] on the stack and flush once per shard/worker, so
-//! the per-series cost is two monotonic clock reads, not contended atomics.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`crate::types::FunnelCounters`]: the pipeline keeps them in a separate
+//! cumulative [`StageNanos`], read through
+//! [`crate::pipeline::Pipeline::stage_profile`]. Workers accumulate into
+//! their own [`StageNanos`] on the stack and hand it over when they join,
+//! so the per-series cost is two monotonic clock reads and nothing shared.
 
 /// Plain per-stage nanosecond totals; the unit both of worker-local
-/// accumulation and of [`StageProfile::snapshot`].
+/// accumulation and of [`crate::pipeline::Pipeline::stage_profile`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageNanos {
     /// Streaming-engine delta ingest (tail copies from the store).
@@ -103,95 +101,23 @@ impl StageNanos {
     }
 }
 
-/// Shared cumulative stage clock: workers flush [`StageNanos`] batches in,
-/// benchmarks snapshot deltas out. Relaxed atomics — the values are
-/// telemetry, ordered only by the caller's own round structure.
-#[derive(Debug, Default)]
-pub struct StageProfile {
-    ingest: AtomicU64,
-    windowing: AtomicU64,
-    short_term: AtomicU64,
-    long_term: AtomicU64,
-    complete: AtomicU64,
-    went_away: AtomicU64,
-    seasonality: AtomicU64,
-    threshold: AtomicU64,
-    som_dedup: AtomicU64,
-    cost_shift: AtomicU64,
-    pairwise_dedup: AtomicU64,
-    root_cause: AtomicU64,
-}
-
-impl StageProfile {
-    /// Folds one worker-local batch into the shared totals.
-    pub fn add(&self, delta: &StageNanos) {
-        for (field, value) in self.fields().into_iter().zip(delta.named()) {
-            if value.1 != 0 {
-                field.fetch_add(value.1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Current cumulative totals.
-    pub fn snapshot(&self) -> StageNanos {
-        StageNanos {
-            ingest: self.ingest.load(Ordering::Relaxed),
-            windowing: self.windowing.load(Ordering::Relaxed),
-            short_term: self.short_term.load(Ordering::Relaxed),
-            long_term: self.long_term.load(Ordering::Relaxed),
-            complete: self.complete.load(Ordering::Relaxed),
-            went_away: self.went_away.load(Ordering::Relaxed),
-            seasonality: self.seasonality.load(Ordering::Relaxed),
-            threshold: self.threshold.load(Ordering::Relaxed),
-            som_dedup: self.som_dedup.load(Ordering::Relaxed),
-            cost_shift: self.cost_shift.load(Ordering::Relaxed),
-            pairwise_dedup: self.pairwise_dedup.load(Ordering::Relaxed),
-            root_cause: self.root_cause.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every stage counter.
-    pub fn reset(&self) {
-        for field in self.fields() {
-            field.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn fields(&self) -> [&AtomicU64; 12] {
-        [
-            &self.ingest,
-            &self.windowing,
-            &self.short_term,
-            &self.long_term,
-            &self.complete,
-            &self.went_away,
-            &self.seasonality,
-            &self.threshold,
-            &self.som_dedup,
-            &self.cost_shift,
-            &self.pairwise_dedup,
-            &self.root_cause,
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn add_snapshot_delta_roundtrip() {
-        let profile = StageProfile::default();
+        let mut profile = StageNanos::default();
         let mut batch = StageNanos::default();
         batch.windowing = 100;
         batch.long_term = 250;
-        profile.add(&batch);
-        profile.add(&batch);
-        let first = profile.snapshot();
+        profile.accumulate(&batch);
+        profile.accumulate(&batch);
+        let first = profile;
         assert_eq!(first.windowing, 200);
         assert_eq!(first.long_term, 500);
-        profile.add(&batch);
-        let delta = profile.snapshot().since(&first);
+        profile.accumulate(&batch);
+        let delta = profile.since(&first);
         assert_eq!(delta.windowing, 100);
         assert_eq!(delta.long_term, 250);
         assert_eq!(delta.short_term, 0);
@@ -219,26 +145,5 @@ mod tests {
         let mut names: Vec<&str> = named.iter().map(|(s, _)| *s).collect();
         names.dedup();
         assert_eq!(names.len(), 12);
-    }
-
-    #[test]
-    fn reset_zeroes_and_accumulate_adds() {
-        let profile = StageProfile::default();
-        let mut a = StageNanos::default();
-        a.rca_set_for_test();
-        profile.add(&a);
-        profile.reset();
-        assert_eq!(profile.snapshot().total(), 0);
-        let mut acc = StageNanos::default();
-        acc.accumulate(&a);
-        acc.accumulate(&a);
-        assert_eq!(acc.total(), 2 * a.total());
-    }
-
-    impl StageNanos {
-        fn rca_set_for_test(&mut self) {
-            self.root_cause = 7;
-            self.went_away = 3;
-        }
     }
 }

@@ -24,7 +24,9 @@
 //!   partitions (plus an untrimmed range) imply the exact same region
 //!   slices, cadence estimate, and coverage. When the partitions match the
 //!   previous round at the same `now`, the previous outcome — including
-//!   candidate regressions — is returned verbatim (*Level A*). When `now`
+//!   candidate regressions and, with the short-term one, the went-away and
+//!   seasonality filters' verdict on it (pure functions of the candidate) —
+//!   is returned verbatim (*Level A*). When `now`
 //!   advanced but the partitions still match and both scans are
 //!   unsaturated, only time-invariant outcomes (quiet series, data-quality
 //!   faults, empty windows) are reused (*Level B*): a candidate's
@@ -151,6 +153,31 @@ struct Partitions {
     c: u64,
 }
 
+/// What the went-away and seasonality filters, in that order, made of a
+/// short-term candidate. A pure function of the candidate, so wherever the
+/// candidate may be replayed its verdict may be too — except an error,
+/// which [`StreamingEngine::complete`] does not record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShortVerdict {
+    /// Both filters kept it.
+    Kept,
+    /// The went-away filter dropped it.
+    WentAway,
+    /// The seasonality filter dropped it.
+    Seasonal,
+    /// The went-away filter failed with this message.
+    WentAwayError(String),
+    /// The seasonality filter failed with this message.
+    SeasonalityError(String),
+}
+
+impl ShortVerdict {
+    /// Whether the candidate got past the went-away filter.
+    pub fn past_went_away(&self) -> bool {
+        !matches!(self, ShortVerdict::WentAway | ShortVerdict::WentAwayError(_))
+    }
+}
+
 /// A per-series scan outcome the engine can replay on a later round.
 ///
 /// Mirrors the pipeline's per-series verdicts without depending on its
@@ -163,8 +190,8 @@ pub enum CachedScan {
     /// A healthy scan: the short- and long-term candidates (usually `None`)
     /// and whether the series' window coverage was partial.
     Ok {
-        /// Short-term change-point candidate.
-        short: Option<Regression>,
+        /// Short-term change-point candidate and the filters' verdict on it.
+        short: Option<(Regression, ShortVerdict)>,
         /// Long-term (gradual) candidate.
         long: Option<Regression>,
         /// Whether coverage fell below the scan's partial floor.
@@ -187,6 +214,13 @@ impl CachedScan {
             CachedScan::Ok { short, long, .. } => short.is_none() && long.is_none(),
             CachedScan::NoData(_) | CachedScan::BadData(_) => true,
         }
+    }
+
+    /// Whether a filter failed on the short-term candidate. Such an outcome
+    /// is never recorded: the next round evaluates the filter again.
+    fn filter_errored(&self) -> bool {
+        use ShortVerdict::{SeasonalityError, WentAwayError};
+        matches!(self, CachedScan::Ok { short: Some((_, WentAwayError(_) | SeasonalityError(_))), .. })
     }
 }
 
@@ -892,7 +926,8 @@ impl StreamingEngine {
 
     /// Returns a [`Prepared::Scan`]'s window buffer to the series state and
     /// records the round's outcome for future reuse. `outcome` is `None`
-    /// when the detectors errored: the buffer is still reclaimed, and the
+    /// when the detectors errored, and is ignored when a filter did
+    /// ([`ShortVerdict::WentAwayError`]): the buffer is still reclaimed, and the
     /// previous artifacts (whose gates remain sound — retained points are
     /// immutable) are kept.
     // fbd-lint::hot
@@ -910,7 +945,7 @@ impl StreamingEngine {
             self.counters.buffer_growth.fetch_add(1, Ordering::Relaxed);
         }
         s.buffer = buffer;
-        if let Some(outcome) = outcome {
+        if let Some(outcome) = outcome.filter(|o| !o.filter_errored()) {
             s.last = Some(RoundArtifacts {
                 now: self.now,
                 parts: token.parts,
@@ -1120,6 +1155,85 @@ mod tests {
             }
             _ => panic!("unexpected prepare outcome"),
         }
+    }
+
+    #[test]
+    fn level_a_replays_short_with_its_verdict_and_level_b_never_a_candidate() {
+        // Points every 10 ticks, so the window boundaries of now = 300,
+        // 301 and 302 all fall in the same gaps: equal partitions at an
+        // advancing, unsaturated watermark — exactly Level B's precondition.
+        let store = TsdbStore::new();
+        let id = sid("s");
+        for t in (0..300u64).step_by(10) {
+            store.append(&id, t, t as f64).unwrap();
+        }
+        let mut engine = StreamingEngine::new(cfg());
+        let ids = [&id];
+        let quiet = || CachedScan::Ok {
+            short: None,
+            long: None,
+            partial: false,
+        };
+        begin_round(&mut engine, &store, &ids, 300);
+        let Prepared::Scan { windows, token } = engine.prepare(&id, 0.5, 0.5) else {
+            panic!("first round must scan");
+        };
+        let candidate = Regression {
+            series: id.clone(),
+            kind: crate::types::RegressionKind::ShortTerm,
+            change_index: 12,
+            change_time: 260,
+            mean_before: 1.0,
+            mean_after: 2.0,
+            windows: windows.clone(),
+            root_cause_candidates: Vec::new(),
+        };
+        let with_verdict = |verdict| CachedScan::Ok {
+            short: Some((candidate.clone(), verdict)),
+            long: None,
+            partial: false,
+        };
+        // A filter error is not recorded: the same round scans again.
+        let errored = with_verdict(ShortVerdict::WentAwayError("boom".to_string()));
+        engine.complete(&id, token, Some(errored), windows);
+        begin_round(&mut engine, &store, &ids, 300);
+        let Prepared::Scan { windows, token } = engine.prepare(&id, 0.5, 0.5) else {
+            panic!("an errored verdict must not be replayed");
+        };
+        engine.complete(&id, token, Some(with_verdict(ShortVerdict::Seasonal)), windows);
+        // Same watermark: the candidate comes back with its verdict.
+        begin_round(&mut engine, &store, &ids, 300);
+        match engine.prepare(&id, 0.5, 0.5) {
+            Prepared::Reuse(CachedScan::Ok {
+                short: Some((r, verdict)),
+                long: None,
+                ..
+            }) => {
+                assert_eq!((r.change_index, r.change_time), (12, 260));
+                assert_eq!(verdict, ShortVerdict::Seasonal);
+            }
+            _ => panic!("Level A must replay the candidate and its verdict"),
+        }
+        assert_eq!(engine.stats().reused_full, 1);
+        // Advanced watermark, equal partitions: an outcome that carries a
+        // candidate is not replayed — the series is scanned afresh.
+        begin_round(&mut engine, &store, &ids, 301);
+        let Prepared::Scan { windows, token } = engine.prepare(&id, 0.5, 0.5) else {
+            panic!("Level B must not replay an outcome that carries a candidate");
+        };
+        assert_eq!(engine.stats().reused_quiet, 0);
+        engine.complete(&id, token, Some(quiet()), windows);
+        // The same step from a quiet outcome is Level B.
+        begin_round(&mut engine, &store, &ids, 302);
+        assert!(matches!(
+            engine.prepare(&id, 0.5, 0.5),
+            Prepared::Reuse(CachedScan::Ok {
+                short: None,
+                long: None,
+                ..
+            })
+        ));
+        assert_eq!(engine.stats().reused_quiet, 1);
     }
 
     #[test]

@@ -10,12 +10,77 @@
 //! below the threshold.
 
 use crate::config::DetectorConfig;
-use crate::scan_cache::ScanCache;
+use crate::scan_cache::CacheStats;
 use crate::types::Regression;
 use crate::Result;
-use fbd_stats::acf;
+use fbd_stats::acf::{self, Seasonality};
 use fbd_stats::descriptive;
-use fbd_stats::stl::{decompose, StlConfig};
+use fbd_stats::stl::{decompose, StlConfig, StlDecomposition};
+
+/// The seasonality-search and STL answers the detectors of one series share
+/// within one round: the long-term detector, the went-away filter and the
+/// seasonality filter all ask about the same window, so whichever asks
+/// first computes and the others are served.
+///
+/// A value belongs to exactly one window (one series, one round) — it is
+/// created on the worker's stack where the window is, handed down by
+/// `&mut`, and dropped with it. Answers are therefore keyed by the
+/// computation's parameters alone; the kernels are pure, so a served answer
+/// is bit-identical to a recomputed one.
+#[derive(Debug, Default)]
+pub struct SeasonalArtifacts {
+    /// [`acf::find_seasonality`] answers by `(max_lag, threshold bits)` —
+    /// at most two in practice (the detectors' common
+    /// `max_seasonal_period`, and went-away's post-change cap).
+    searches: Vec<((usize, u64), Option<Seasonality>)>,
+    /// [`decompose`] answers at [`StlConfig::for_period`], by period — one
+    /// in practice (every consumer derives it from the same search).
+    decompositions: Vec<(usize, StlDecomposition)>,
+    /// Answers served (`hits`) and kernels run (`misses`) so far.
+    pub reuse: CacheStats,
+}
+
+impl SeasonalArtifacts {
+    /// [`acf::find_seasonality`] for periods from 2 up over this value's
+    /// window, run at most once per distinct `(max_lag, threshold)`. Errors
+    /// are not retained.
+    pub fn seasonality(
+        &mut self,
+        data: &[f64],
+        max_lag: usize,
+        threshold: f64,
+    ) -> Result<Option<Seasonality>> {
+        let key = (max_lag, threshold.to_bits());
+        if let Some((_, found)) = self.searches.iter().find(|(k, _)| *k == key) {
+            self.reuse.hits += 1;
+            return Ok(*found);
+        }
+        self.reuse.misses += 1;
+        let found = acf::find_seasonality(data, 2, max_lag, threshold)?;
+        self.searches.push((key, found));
+        Ok(found)
+    }
+
+    /// The full STL decomposition of this value's window at
+    /// [`StlConfig::for_period`]`(period)`: the long-term detector takes its
+    /// trend and the seasonality filter its seasonal and residual
+    /// components — one STL run per series per round.
+    pub fn decomposition(&mut self, data: &[f64], period: usize) -> Result<&StlDecomposition> {
+        let at = match self.decompositions.iter().position(|(p, _)| *p == period) {
+            Some(at) => {
+                self.reuse.hits += 1;
+                at
+            }
+            None => {
+                self.reuse.misses += 1;
+                let computed = decompose(data, StlConfig::for_period(period))?;
+                self.decompositions.push((period, computed));
+                self.decompositions.len() - 1
+            }
+        };
+        Ok(&self.decompositions[at].1)
+    }
+}
 
 /// Outcome of the seasonality check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,31 +117,21 @@ impl SeasonalityDetector {
     /// Evaluates the check; `verdict.keep == true` means the regression is
     /// not explained by seasonality.
     pub fn evaluate(&self, regression: &Regression) -> Result<SeasonalityVerdict> {
-        self.evaluate_with_cache(regression, None)
+        self.evaluate_with(regression, &mut SeasonalArtifacts::default())
     }
 
-    /// [`Self::evaluate`] with a cross-scan [`ScanCache`]: the ACF gate and
-    /// the STL decomposition are reused when this series' window is
-    /// unchanged since a previous round (the long-term detector seeds the
-    /// same seasonality key during the parallel stage).
-    pub fn evaluate_with_cache(
+    /// [`Self::evaluate`] sharing `artifacts` with the other detectors run
+    /// on the candidate's window this round: the long-term detector has
+    /// usually answered both the ACF gate and the decomposition already.
+    pub fn evaluate_with(
         &self,
         regression: &Regression,
-        cache: Option<&ScanCache>,
+        artifacts: &mut SeasonalArtifacts,
     ) -> Result<SeasonalityVerdict> {
         let data = regression.windows.all();
         let cp = regression.change_index;
         // ACF gate: no significant periodicity, nothing to remove.
-        let gate = match cache {
-            Some(c) => c.seasonality(
-                &regression.series,
-                data,
-                2,
-                self.max_period,
-                self.acf_threshold,
-            )?,
-            None => acf::find_seasonality(data, 2, self.max_period, self.acf_threshold)?,
-        };
+        let gate = artifacts.seasonality(data, self.max_period, self.acf_threshold)?;
         let Some(season) = gate else {
             return Ok(SeasonalityVerdict {
                 seasonal: false,
@@ -93,10 +148,7 @@ impl SeasonalityDetector {
                 keep: true,
             });
         }
-        let decomposition = match cache {
-            Some(c) => c.decomposition(&regression.series, data, season.period)?,
-            None => decompose(data, StlConfig::for_period(season.period))?,
-        };
+        let decomposition = artifacts.decomposition(data, season.period)?;
         let deseasonalized = decomposition.deseasonalized();
         let residual_std = descriptive::std_dev(&decomposition.residual)?.max(1e-12);
         // z over the analysis window region.
@@ -220,6 +272,48 @@ mod tests {
         assert!(!v.seasonal);
         assert!(v.keep);
         assert!(v.z_analysis.is_nan());
+    }
+
+    #[test]
+    fn each_seasonality_search_runs_once_per_series_round() {
+        use crate::config::{DetectorConfig, Threshold};
+        use crate::long_term::LongTermDetector;
+        use crate::went_away::WentAwayDetector;
+        // A step ten samples before the end of the window: went-away caps
+        // its search at `post.len() / 2 = 5`, below the `max_seasonal_period`
+        // (26) long-term and the seasonality filter search at. A single
+        // slot would let went-away displace long-term's answer and make the
+        // seasonality filter search again.
+        let noise = |i: usize| {
+            let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z >> 33) % 1000) as f64 / 10_000.0
+        };
+        let values: Vec<f64> = (0..400).map(|i| if i >= 390 { 2.0 } else { 1.0 } + noise(i)).collect();
+        let r = regression_from(values[..300].to_vec(), values[300..].to_vec(), vec![], 389, 1.0, 2.0);
+        let windows = fbd_tsdb::WindowConfig {
+            historic: 300,
+            analysis: 100,
+            extended: 0,
+            rerun_interval: 100,
+        };
+        let config = DetectorConfig::new("t", windows, Threshold::Absolute(0.1));
+        assert!(r.windows.all().len() - 390 < 2 * config.max_seasonal_period);
+        let mut artifacts = SeasonalArtifacts::default();
+        LongTermDetector::from_config(&config)
+            .detect_with(&r.series, &r.windows, &mut artifacts)
+            .unwrap();
+        // Long-term was not pre-filtered out: it ran the search (and, the
+        // series not being seasonal, no decomposition).
+        assert_eq!((artifacts.reuse.hits, artifacts.reuse.misses), (0, 1));
+        let went_away = WentAwayDetector::from_config(&config);
+        assert_eq!(went_away.evaluate_with(&r, &mut artifacts).unwrap(), went_away.evaluate(&r).unwrap());
+        assert_eq!((artifacts.reuse.hits, artifacts.reuse.misses), (0, 2));
+        let seasonality = SeasonalityDetector::from_config(&config);
+        let served = seasonality.evaluate_with(&r, &mut artifacts).unwrap();
+        assert_eq!((artifacts.reuse.hits, artifacts.reuse.misses), (1, 2));
+        assert_eq!(served.keep, seasonality.evaluate(&r).unwrap().keep);
     }
 
     #[test]

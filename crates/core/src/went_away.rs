@@ -36,10 +36,9 @@
 //! are the ones boolean short-circuiting ignores.
 
 use crate::config::DetectorConfig;
-use crate::scan_cache::ScanCache;
+use crate::seasonality::SeasonalArtifacts;
 use crate::types::Regression;
 use crate::Result;
-use fbd_stats::acf;
 use fbd_stats::descriptive;
 use fbd_stats::sax::{check_encoding, encode_in_range, SaxConfig};
 use fbd_stats::trend::{mann_kendall_finite, theil_sen_slope, TrendDirection};
@@ -129,7 +128,8 @@ impl WentAwayVerdict {
 pub struct WentAwayStats {
     /// Evaluated candidates by [`DecidedBy`], indexed like [`DecidedBy::ALL`].
     decided: [u64; 7],
-    /// Candidates whose memoized verdict was replayed without evaluation.
+    /// Candidates whose verdict the streaming engine replayed together
+    /// with the candidate (Level A), without evaluation.
     pub replayed: u64,
 }
 
@@ -137,6 +137,14 @@ impl WentAwayStats {
     /// Counts one evaluated candidate.
     pub fn record(&mut self, decided_by: DecidedBy) {
         self.decided[decided_by as usize] += 1;
+    }
+
+    /// Adds another tally into this one.
+    pub fn accumulate(&mut self, other: &WentAwayStats) {
+        for (total, n) in self.decided.iter_mut().zip(other.decided) {
+            *total += n;
+        }
+        self.replayed += other.replayed;
     }
 
     /// Candidates decided by `term`.
@@ -180,17 +188,18 @@ impl WentAwayDetector {
     /// Evaluates the predicate; `verdict.keep == true` means the regression
     /// survives this filter.
     pub fn evaluate(&self, regression: &Regression) -> Result<WentAwayVerdict> {
-        self.evaluate_with_cache(regression, None)
+        self.evaluate_with(regression, &mut SeasonalArtifacts::default())
     }
 
-    /// [`Self::evaluate`] with a cross-scan [`ScanCache`]: the seasonality
-    /// search is reused when this series' windows are unchanged since a
-    /// previous round.
+    /// [`Self::evaluate`] sharing `artifacts` with the other detectors run
+    /// on the candidate's window this round: the seasonality search is
+    /// served when one of them already ran it at the same `max_lag`, and
+    /// kept for the seasonality filter otherwise.
     // fbd-lint::hot
-    pub fn evaluate_with_cache(
+    pub fn evaluate_with(
         &self,
         regression: &Regression,
-        cache: Option<&ScanCache>,
+        artifacts: &mut SeasonalArtifacts,
     ) -> Result<WentAwayVerdict> {
         let data = regression.windows.all();
         let historic = regression.windows.historic();
@@ -232,21 +241,11 @@ impl WentAwayDetector {
         // Seasonal period, if any: trend and tail checks must not mistake
         // a diurnal trough for a recovery.
         let max_lag = self.max_seasonal_period.min(post.len() / 2);
-        let period = match cache {
-            Some(c) => c
-                .seasonality(
-                    &regression.series,
-                    data,
-                    2,
-                    max_lag,
-                    self.seasonality_acf_threshold,
-                )
-                .unwrap_or(None),
-            None => acf::find_seasonality(data, 2, max_lag, self.seasonality_acf_threshold)
-                .unwrap_or(None),
-        }
-        .map(|s| s.period)
-        .unwrap_or(0);
+        let period = artifacts
+            .seasonality(data, max_lag, self.seasonality_acf_threshold)
+            .unwrap_or(None)
+            .map(|s| s.period)
+            .unwrap_or(0);
 
         // --- RegressionGoneAway ---
         // "The final sanity check" on the last few data points: a series
@@ -389,6 +388,7 @@ impl WentAwayDetector {
     /// pinned against.
     #[cfg(test)]
     fn evaluate_eager(&self, regression: &Regression) -> Result<EagerVerdict> {
+        use fbd_stats::acf;
         use fbd_stats::trend::{mann_kendall, theil_sen};
         let data = regression.windows.all();
         let historic = regression.windows.historic();

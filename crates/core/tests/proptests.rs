@@ -7,7 +7,7 @@ use fbdetect_core::config::{DetectorConfig, Threshold};
 use fbdetect_core::dedup::same_merger::SameRegressionMerger;
 use fbdetect_core::long_term::LongTermDetector;
 use fbdetect_core::types::{Regression, RegressionKind};
-use fbdetect_core::scan_cache::ScanCache;
+use fbdetect_core::seasonality::{SeasonalArtifacts, SeasonalityDetector};
 use fbdetect_core::went_away::{DecidedBy, WentAwayDetector};
 use fbdetect_core::{FaultKind, Pipeline, Quarantine, QuarantineConfig, ScanContext, StreamingEngine};
 use proptest::prelude::*;
@@ -134,13 +134,21 @@ proptest! {
         delta in -0.3f64..1.5,
         // Samples after the step before it recovers; 100.. never does.
         recovers_after in 10usize..140,
+        // A period-12 swing, so the STL path is shared too.
+        seasonal in any::<bool>(),
+        swing in 0.2f64..1.0,
     ) {
+        let swing = if seasonal { swing } else { 0.0 };
         let mut values = noisy_series(320, 1.0, noise, seed);
+        for (i, v) in values.iter_mut().enumerate() {
+            *v += swing * (i as f64 / 12.0 * std::f64::consts::TAU).sin();
+        }
         for v in values.iter_mut().skip(220).take(recovers_after) {
             *v += delta;
         }
         let r = regression_from_values(&values, 219);
-        let wa = WentAwayDetector::from_config(&config(0.1));
+        let cfg = config(0.1);
+        let wa = WentAwayDetector::from_config(&cfg);
         let v = wa.evaluate(&r).unwrap();
         // The decision follows from the deciding term, and exactly the
         // terms up to it were evaluated.
@@ -164,10 +172,20 @@ proptest! {
             DecidedBy::NotSignificant | DecidedBy::NotLasting => last == Some(false),
             DecidedBy::TooShort | DecidedBy::Improvement => last.is_none(),
         }, "{:?}", v);
-        // A cache miss, then a hit, change nothing.
-        let cache = ScanCache::new();
-        prop_assert_eq!(wa.evaluate_with_cache(&r, Some(&cache)).unwrap(), v);
-        prop_assert_eq!(wa.evaluate_with_cache(&r, Some(&cache)).unwrap(), v);
+        // Both filters return the standalone verdicts bit for bit whether
+        // they start from empty artifacts or are served the answers the
+        // long-term detector left behind.
+        let seasonality = SeasonalityDetector::from_config(&cfg);
+        let bits = |v: fbdetect_core::seasonality::SeasonalityVerdict| {
+            (v.seasonal, v.z_analysis.to_bits(), v.z_extended.to_bits(), v.keep)
+        };
+        let standalone = bits(seasonality.evaluate(&r).unwrap());
+        let mut seeded = SeasonalArtifacts::default();
+        LongTermDetector::from_config(&cfg).detect_with(&r.series, &r.windows, &mut seeded).unwrap();
+        for mut artifacts in [seeded, SeasonalArtifacts::default()] {
+            prop_assert_eq!(wa.evaluate_with(&r, &mut artifacts).unwrap(), v);
+            prop_assert_eq!(bits(seasonality.evaluate_with(&r, &mut artifacts).unwrap()), standalone);
+        }
     }
 
     #[test]

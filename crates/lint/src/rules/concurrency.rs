@@ -608,7 +608,7 @@ mod tests {
     #[test]
     fn embedded_manifest_parses_with_all_domains() {
         let m = LockManifest::parse(MANIFEST_SRC).expect("checked-in manifest must parse");
-        assert_eq!(m.domains.len(), 6);
+        assert_eq!(m.domains.len(), 5);
         assert!(m.covers_crate("fbdetect-core"));
         assert!(m.covers_crate("fbd-tsdb"));
         assert!(m.covers_crate("fbd-ingest"));
@@ -727,11 +727,11 @@ mod tests {
         // engine-shard (30) entering store (40) is the documented legal edge.
         let legal = "fn f(s: &ScanState, store: &T) {\n    let mut guard = s.shards[0].lock();\n    let d = store.snapshot_deltas(&guard.ids);\n}\n";
         assert!(run_rule(&GuardAcrossBlocking, legal, "crates/core/src/x.rs").is_empty());
-        // scan-cache (50) entering store (40) inverts across the boundary.
-        let bad = "fn f(c: &ScanCache, store: &T) {\n    let inner = c.inner.lock();\n    let d = store.windows(&inner.ids);\n}\n";
-        let diags = run_rule(&GuardAcrossBlocking, bad, "crates/core/src/x.rs");
+        // ingest-progress (60) entering store (40) inverts across the boundary.
+        let bad = "fn f(p: &Progress, store: &T) {\n    let state = p.state.lock();\n    let n = store.series_count() + state.0;\n}\n";
+        let diags = run_rule(&GuardAcrossBlocking, bad, "crates/ingest/src/x.rs");
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("scan-cache"));
+        assert!(diags[0].message.contains("ingest-progress"));
         assert!(diags[0].message.contains("store-shard"));
     }
 

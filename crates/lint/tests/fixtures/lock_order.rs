@@ -1,17 +1,17 @@
-//@ path: crates/core/src/lock_fixture.rs
+//@ path: crates/ingest/src/lock_fixture.rs
 //! Known-bad input for `lock-order`: a rank inversion, an equal-rank
 //! re-acquisition, an undeclared receiver, and a raw lock type.
 
-pub fn inverted(state: &ScanState, cache: &ScanCache) {
-    let inner = cache.inner.lock(); // scan-cache, rank 50
-    let shard = state.shards[0].lock(); // engine-shard, rank 30: inversion
-    drop(shard);
-    drop(inner);
+pub fn inverted(progress: &Progress, quarantine: &OrderedMutex<Quarantine>) {
+    let state = progress.state.lock(); // ingest-progress, rank 60
+    let quarantine = quarantine.lock(); // quarantine, rank 20: inversion
+    drop(quarantine);
+    drop(state);
 }
 
-pub fn equal_rank(state: &ScanState) {
-    let a = state.shards[0].lock();
-    let b = state.shards[1].lock(); // same rank while held: inversion
+pub fn equal_rank(ours: &Progress, theirs: &Progress) {
+    let a = ours.state.lock();
+    let b = theirs.state.lock(); // same rank while held: inversion
     drop(b);
     drop(a);
 }
@@ -25,9 +25,9 @@ pub struct Raw {
     level: Mutex<u32>, // raw lock type in a ranked crate
 }
 
-pub fn legal(state: &ScanState, cache: &ScanCache) {
-    let shard = state.shards[0].lock(); // rank 30 then 50: ascending, clean
-    let inner = cache.inner.lock();
-    drop(inner);
-    drop(shard);
+pub fn legal(engine: &OrderedMutex<Engine>, progress: &Progress) {
+    let engine = engine.lock(); // rank 10 then 60: ascending, clean
+    let state = progress.state.lock();
+    drop(state);
+    drop(engine);
 }

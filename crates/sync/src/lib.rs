@@ -56,8 +56,6 @@ pub enum LockDomain {
     EngineShard = 30,
     /// fbd-tsdb: `TsdbStore` per-shard series maps.
     StoreShard = 40,
-    /// fbdetect-core: the cross-round `ScanCache` artifact map (leaf).
-    ScanCache = 50,
     /// fbd-ingest: the batch-completion progress pair under the drain
     /// condvar (leaf).
     IngestProgress = 60,
@@ -65,12 +63,11 @@ pub enum LockDomain {
 
 impl LockDomain {
     /// Every domain, in ascending rank order.
-    pub const ALL: [LockDomain; 6] = [
+    pub const ALL: [LockDomain; 5] = [
         LockDomain::IngestEngine,
         LockDomain::Quarantine,
         LockDomain::EngineShard,
         LockDomain::StoreShard,
-        LockDomain::ScanCache,
         LockDomain::IngestProgress,
     ];
 
@@ -86,7 +83,6 @@ impl LockDomain {
             LockDomain::Quarantine => "quarantine",
             LockDomain::EngineShard => "engine-shard",
             LockDomain::StoreShard => "store-shard",
-            LockDomain::ScanCache => "scan-cache",
             LockDomain::IngestProgress => "ingest-progress",
         }
     }
@@ -417,7 +413,7 @@ mod tests {
     fn ascending_acquisition_is_permitted() {
         let a = OrderedMutex::new(LockDomain::IngestEngine, 1u32);
         let b = OrderedRwLock::new(LockDomain::StoreShard, 2u32);
-        let c = OrderedMutex::new(LockDomain::ScanCache, 3u32);
+        let c = OrderedMutex::new(LockDomain::IngestProgress, 3u32);
         let ga = a.lock();
         let gb = b.read();
         let gc = c.lock();
@@ -491,7 +487,7 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover_the_value() {
-        let m = std::sync::Arc::new(OrderedMutex::new(LockDomain::ScanCache, 7u32));
+        let m = std::sync::Arc::new(OrderedMutex::new(LockDomain::IngestProgress, 7u32));
         let rw = std::sync::Arc::new(OrderedRwLock::new(LockDomain::StoreShard, 9u32));
         {
             let m = std::sync::Arc::clone(&m);

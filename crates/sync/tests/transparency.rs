@@ -44,7 +44,7 @@ proptest! {
 
     #[test]
     fn ordered_mutex_matches_std_mutex(ops in prop::collection::vec(op_strategy(), 0..48)) {
-        let ours = OrderedMutex::new(LockDomain::ScanCache, Vec::<u64>::new());
+        let ours = OrderedMutex::new(LockDomain::IngestProgress, Vec::<u64>::new());
         let std_lock = Mutex::new(Vec::<u64>::new());
         for op in ops {
             match op {

@@ -111,8 +111,10 @@ fn scan_fingerprint(
 ///
 /// With `streaming` enabled the incremental engine must reuse cached
 /// outcomes on unchanged rounds; with it disabled every round is a cold
-/// scan. Both must serialize to identical bytes.
-fn multi_round_fingerprint(streaming: bool, threads: usize) -> (String, u64) {
+/// scan. Both must serialize to identical bytes. The third value is the
+/// pipeline's reuse telemetry (`went_away_stats`, `cache_stats`), which the
+/// engine does change and the worker count must not.
+fn multi_round_fingerprint(streaming: bool, threads: usize) -> (String, u64, String) {
     let (store, mut sim, log, graph) = build_world();
     let mut pipeline = Pipeline::new(detector_config()).unwrap();
     pipeline.threads = threads;
@@ -145,13 +147,14 @@ fn multi_round_fingerprint(streaming: bool, threads: usize) -> (String, u64) {
         .streaming_stats()
         .map(|s| s.reused_full + s.reused_quiet)
         .unwrap_or(0);
-    (out, reused)
+    let telemetry = format!("{:?} {:?}", pipeline.went_away_stats(), pipeline.cache_stats());
+    (out, reused, telemetry)
 }
 
 #[test]
 fn streaming_engine_does_not_change_fingerprint() {
-    let (on, reused) = multi_round_fingerprint(true, 4);
-    let (off, _) = multi_round_fingerprint(false, 4);
+    let (on, reused, _) = multi_round_fingerprint(true, 4);
+    let (off, _, _) = multi_round_fingerprint(false, 4);
     assert!(
         reused > 0,
         "streaming run never exercised the reuse path; the comparison is vacuous"
@@ -168,8 +171,8 @@ fn streaming_engine_is_thread_invariant() {
     // Engine on and off are two modes of one shard-stealing driver; both
     // must be blind to the worker count.
     for streaming in [true, false] {
-        let (serial, _) = multi_round_fingerprint(streaming, 1);
-        let (parallel, reused) = multi_round_fingerprint(streaming, 8);
+        let (serial, _, serial_telemetry) = multi_round_fingerprint(streaming, 1);
+        let (parallel, reused, parallel_telemetry) = multi_round_fingerprint(streaming, 8);
         assert!(
             !streaming || reused > 0,
             "streaming run never exercised the reuse path"
@@ -178,6 +181,12 @@ fn streaming_engine_is_thread_invariant() {
             serial.as_bytes(),
             parallel.as_bytes(),
             "thread count changed the fingerprint (streaming = {streaming}):\n--- 1 thread ---\n{serial}\n--- 8 threads ---\n{parallel}"
+        );
+        // The filters run on the workers: what they decided, replayed and
+        // shared is a sum over series, whichever worker took each.
+        assert_eq!(
+            serial_telemetry, parallel_telemetry,
+            "thread count changed the reuse telemetry (streaming = {streaming})"
         );
     }
 }

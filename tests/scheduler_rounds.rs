@@ -112,6 +112,10 @@ struct RoundsRun {
     boundaries: usize,
     /// `buffer_growth` accumulated over the held rounds after warm-up.
     held_growth: u64,
+    /// Went-away verdicts replayed with their candidate, over all rounds
+    /// and over the held rounds after warm-up.
+    replayed: u64,
+    held_replayed: u64,
     engine: Option<EngineStats>,
     store: StoreStats,
 }
@@ -129,8 +133,8 @@ fn run_rounds(streaming: bool) -> RoundsRun {
     let mut frontier = vec![START; ids.len()];
     let mut now = START;
     let mut fingerprints = Vec::new();
-    let (mut held, mut boundaries, mut held_growth) = (0, 0, 0);
-    let mut growth_before = 0;
+    let (mut held, mut boundaries, mut held_growth, mut held_replayed) = (0, 0, 0, 0);
+    let (mut growth_before, mut replayed_before) = (0, 0);
     for round in 0..ROUNDS {
         for (i, id) in ids.iter().enumerate() {
             for _ in 0..appends_for(i, round) {
@@ -156,21 +160,26 @@ fn run_rounds(streaming: bool) -> RoundsRun {
             out.health
         ));
         let growth = pipeline.streaming_stats().map_or(0, |s| s.buffer_growth);
+        let replayed = pipeline.went_away_stats().replayed;
         if round >= WARMUP {
             if moved {
                 boundaries += 1;
             } else {
                 held += 1;
                 held_growth += growth - growth_before;
+                held_replayed += replayed - replayed_before;
             }
         }
         growth_before = growth;
+        replayed_before = replayed;
     }
     RoundsRun {
         fingerprints,
         held,
         boundaries,
         held_growth,
+        replayed: pipeline.went_away_stats().replayed,
+        held_replayed,
         engine: pipeline.streaming_stats(),
         store: store.stats(),
     }
@@ -209,6 +218,10 @@ fn streaming_rounds_match_cold_rounds_and_every_reuse_level_fires() {
         "{engine:?}"
     );
     assert!(engine.summary_hits > 0, "{engine:?}");
+    // A held round replays a candidate together with the filters' verdict
+    // on it; without the engine every round re-evaluates the filters.
+    assert!(on.held_replayed > 0, "no held round replayed a filter verdict");
+    assert_eq!(off.replayed, 0, "the engine-off path has nothing to replay from");
     // The engine's first-look copies and the tails that cross a fresh seal
     // decode sealed blocks.
     assert!(
