@@ -1,6 +1,7 @@
 //! Time-ordered change log with the queries root-cause analysis needs.
 
 use crate::change::{Change, ChangeId};
+use std::ops::Range;
 
 /// A time-ordered log of deployed changes.
 #[derive(Debug, Clone, Default)]
@@ -46,16 +47,23 @@ impl ChangeLog {
     /// Changes deployed in `[start, end)` — the candidate generator for a
     /// regression whose change point falls shortly after `start` (§5.6
     /// "changes deployed immediately before the regression occurred").
-    pub fn deployed_between(&self, start: u64, end: u64) -> Vec<&Change> {
+    /// Empty when `end <= start`.
+    pub fn deployed_between(&self, start: u64, end: u64) -> &[Change] {
+        &self.changes[self.positions_between(start, end)]
+    }
+
+    /// Positions in [`ChangeLog::all`] of the changes deployed in
+    /// `[start, end)`; empty when `end <= start`.
+    pub fn positions_between(&self, start: u64, end: u64) -> Range<usize> {
         let lo = self.changes.partition_point(|c| c.deploy_time < start);
         let hi = self.changes.partition_point(|c| c.deploy_time < end);
-        self.changes[lo..hi].iter().collect()
+        lo..hi.max(lo)
     }
 
     /// Changes to a given service deployed in `[start, end)`.
     pub fn deployed_to_service_between(&self, service: &str, start: u64, end: u64) -> Vec<&Change> {
         self.deployed_between(start, end)
-            .into_iter()
+            .iter()
             .filter(|c| c.service == service)
             .collect()
     }
@@ -70,7 +78,7 @@ impl ChangeLog {
         end: u64,
     ) -> Vec<&Change> {
         self.deployed_between(start, end)
-            .into_iter()
+            .iter()
             .filter(|c| c.modifies(subroutine))
             .collect()
     }
@@ -113,6 +121,22 @@ mod tests {
         }
         let hits = log.deployed_between(100, 300);
         assert_eq!(hits.len(), 2);
+    }
+
+    #[test]
+    fn empty_and_inverted_ranges_are_empty() {
+        let mut log = ChangeLog::new();
+        for t in [100, 200, 300] {
+            log.record(change(t, t, &["a"]));
+        }
+        assert!(log.deployed_between(250, 250).is_empty());
+        // Inverted with changes on both sides of `start`: no slice panic.
+        assert!(log.deployed_between(250, 150).is_empty());
+        assert!(log.deployed_between(u64::MAX, 0).is_empty());
+        assert!(log.positions_between(250, 150).is_empty());
+        assert!(log.modifying_subroutine_between("a", 301, 0).is_empty());
+        assert!(log.deployed_to_service_between("svc", 400, 10).is_empty());
+        assert_eq!(log.positions_between(150, 301), 1..3);
     }
 
     #[test]

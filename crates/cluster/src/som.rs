@@ -181,23 +181,24 @@ fn best_matching_unit(weights: &[Vec<f64>], item: &[f64]) -> usize {
 
 /// Groups item indices by their assigned SOM cell — the SOMDedup clustering
 /// step. Returns the clusters (each a list of item indices), ordered by
-/// first occurrence.
+/// first occurrence. `assignments` are SOM cell indices (below `side²`):
+/// the lookup table is indexed by cell.
 pub fn cluster_by_cell(assignments: &[usize]) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = Vec::new();
-    let mut groups: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
+    let cells = assignments
+        .iter()
+        .max()
+        .map_or(0, |&max| max.saturating_add(1));
+    // The cluster each cell founded, in first-occurrence order.
+    let mut cluster_of: Vec<Option<usize>> = vec![None; cells];
+    let mut clusters: Vec<Vec<usize>> = Vec::new();
     for (i, &cell) in assignments.iter().enumerate() {
-        let entry = groups.entry(cell).or_default();
-        if entry.is_empty() {
-            order.push(cell);
-        }
-        entry.push(i);
+        let at = *cluster_of[cell].get_or_insert_with(|| {
+            clusters.push(Vec::new());
+            clusters.len() - 1
+        });
+        clusters[at].push(i);
     }
-    // Every cell in `order` was inserted into `groups` above; filter_map
-    // keeps the walk panic-free all the same.
-    order
-        .into_iter()
-        .filter_map(|cell| groups.remove(&cell))
-        .collect()
+    clusters
 }
 
 #[cfg(test)]

@@ -8,30 +8,65 @@
 use crate::types::Regression;
 use crate::Result;
 use fbd_changelog::{ChangeId, ChangeLog};
-use fbd_stats::{descriptive, fourier, text::TfIdf};
+use fbd_stats::{descriptive, fourier};
 
 /// Number of bits in the root-cause-candidate bitmap feature.
 pub const ROOT_CAUSE_BITMAP_BITS: usize = 16;
 
-/// Builds the candidate-root-cause bitmap: bit `i` is set when change
-/// `candidates[i]` modifies the regressed subroutine shortly before the
-/// regression (§5.5.1). `candidates` fixes the bit assignment across the
-/// whole batch so bitmaps are comparable.
-pub fn root_cause_bitmap(
-    regression: &Regression,
+/// Each regression's root-cause candidates (§5.5.1): the changes that
+/// modify its subroutine within `lookback` seconds before (and at) its
+/// change point, in deploy order. One walk over the log window the batch
+/// spans serves every regression; a change finds the regressions of the
+/// subroutines it modifies by binary search.
+pub fn candidate_changes(
+    regressions: &[Regression],
     log: &ChangeLog,
-    candidates: &[ChangeId],
     lookback: u64,
-) -> u64 {
-    let start = regression.change_time.saturating_sub(lookback);
-    let matching = log.modifying_subroutine_between(
-        &regression.series.target,
-        start,
-        regression.change_time + 1,
-    );
+) -> Vec<Vec<ChangeId>> {
+    let window =
+        |r: &Regression| r.change_time.saturating_sub(lookback)..r.change_time.saturating_add(1);
+    let mut matches = vec![Vec::new(); regressions.len()];
+    let mut by_target: Vec<(&str, usize)> = regressions
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.series.target.as_str(), i))
+        .collect();
+    by_target.sort_unstable();
+    let start = regressions.iter().map(|r| window(r).start).min();
+    let end = regressions.iter().map(|r| window(r).end).max();
+    let (Some(start), Some(end)) = (start, end) else {
+        return matches;
+    };
+    for change in log.deployed_between(start, end) {
+        let subroutines = &change.modified_subroutines;
+        for (i, subroutine) in subroutines.iter().enumerate() {
+            // A subroutine listed twice matches once, as `Change::modifies`.
+            if subroutines[..i].contains(subroutine) {
+                continue;
+            }
+            let from = by_target.partition_point(|(target, _)| *target < subroutine.as_str());
+            for &(_, r) in by_target[from..]
+                .iter()
+                .take_while(|(target, _)| *target == subroutine)
+            {
+                if window(&regressions[r]).contains(&change.deploy_time) {
+                    matches[r].push(change.id);
+                }
+            }
+        }
+    }
+    matches
+}
+
+/// Builds the candidate-root-cause bitmap: bit `i` is set when
+/// `candidates[i]` is one of the regression's `matching` changes (its
+/// entry of [`candidate_changes`]). `candidates` — sorted and distinct, the union
+/// over the whole batch — fixes the bit assignment so bitmaps are
+/// comparable.
+pub fn root_cause_bitmap(matching: &[ChangeId], candidates: &[ChangeId]) -> u64 {
     let mut bitmap = 0u64;
-    for c in matching {
-        if let Some(pos) = candidates.iter().position(|&id| id == c.id) {
+    for id in matching {
+        if let Ok(pos) = candidates.binary_search(id) {
             if pos < ROOT_CAUSE_BITMAP_BITS {
                 bitmap |= 1 << pos;
             }
@@ -44,8 +79,9 @@ pub fn root_cause_bitmap(
 ///
 /// Layout: `[variance, change_index_fraction, magnitude, relative_change,
 /// low_frequency_fraction, dominant_bin_fraction, tfidf_signature_hi,
-/// tfidf_signature_lo, bitmap]`.
-pub fn feature_vector(regression: &Regression, tfidf: &TfIdf, bitmap: u64) -> Result<Vec<f64>> {
+/// tfidf_signature_lo, bitmap]`, where `signature` is the metric id's
+/// TF-IDF integer signature ([`fbd_stats::text::TfIdf::document_signature`]).
+pub fn feature_vector(regression: &Regression, signature: u64, bitmap: u64) -> Result<Vec<f64>> {
     let analysis = regression.windows.analysis();
     let variance = if analysis.len() >= 2 {
         descriptive::variance(analysis)?
@@ -66,7 +102,6 @@ pub fn feature_vector(regression: &Regression, tfidf: &TfIdf, bitmap: u64) -> Re
     };
     let dominant_fraction =
         *spectral.dominant_bins.first().unwrap_or(&1) as f64 / (analysis.len() / 2).max(1) as f64;
-    let signature = tfidf.integer_signature(&regression.metric_id());
     let relative = regression.relative_change();
     let relative = if relative.is_finite() { relative } else { 1e6 };
     Ok(vec![
@@ -87,6 +122,7 @@ mod tests {
     use super::*;
     use crate::types::RegressionKind;
     use fbd_changelog::{Change, ChangeKind};
+    use fbd_stats::text::TfIdf;
     use fbd_tsdb::{MetricKind, SeriesId, WindowedData};
 
     fn regression(target: &str, change_time: u64) -> Regression {
@@ -129,9 +165,10 @@ mod tests {
         log.record(change(11, 95, &["bar"]));
         log.record(change(12, 99, &["foo"]));
         let r = regression("foo", 100);
-        let candidates = vec![10, 11, 12];
-        let bitmap = root_cause_bitmap(&r, &log, &candidates, 3_600);
-        assert_eq!(bitmap, 0b101); // Changes 10 and 12 modify foo.
+        let matching = candidate_changes(&[r], &log, 3_600).remove(0);
+        assert_eq!(matching, vec![10, 12]); // Changes 10 and 12 modify foo.
+        assert_eq!(root_cause_bitmap(&matching, &[10, 11, 12]), 0b101);
+        assert_eq!(root_cause_bitmap(&matching, &[9, 12]), 0b10);
     }
 
     #[test]
@@ -139,14 +176,58 @@ mod tests {
         let mut log = ChangeLog::new();
         log.record(change(10, 5, &["foo"]));
         let r = regression("foo", 10_000);
-        let bitmap = root_cause_bitmap(&r, &log, &[10], 100);
-        assert_eq!(bitmap, 0); // Deployed far before the lookback.
+        let matching = candidate_changes(&[r], &log, 100).remove(0);
+        assert!(matching.is_empty()); // Deployed far before the lookback.
+        assert_eq!(root_cause_bitmap(&matching, &[10]), 0);
+    }
+
+    #[test]
+    fn candidates_at_the_end_of_time_do_not_wrap() {
+        let mut log = ChangeLog::new();
+        log.record(change(10, 5, &["foo"]));
+        log.record(change(11, u64::MAX - 10, &["foo"]));
+        log.record(change(12, u64::MAX, &["foo"]));
+        let r = regression("foo", u64::MAX);
+        // `[MAX − 100, MAX)`: the window saturates at the end of time.
+        assert_eq!(candidate_changes(&[r], &log, 100), vec![vec![11]]);
+    }
+
+    #[test]
+    fn one_walk_matches_a_query_per_regression() {
+        let subs = ["foo", "bar", "baz", "qux"];
+        let mut log = ChangeLog::new();
+        for id in 0..200u64 {
+            let touched: Vec<&str> = (0..(id % 3) + 1)
+                .map(|k| subs[((id * 5 + k * 3) % 4) as usize])
+                .collect();
+            log.record(change(id, 1_000 + id * 13 % 2_000, &touched));
+        }
+        let batch: Vec<Regression> = (0..30u64)
+            .map(|i| regression(subs[(i % 4) as usize], 1_200 + i * 57))
+            .chain([regression("absent", 2_000), regression("foo", 5)])
+            .collect();
+        let walked = candidate_changes(&batch, &log, 400);
+        for (r, got) in batch.iter().zip(&walked) {
+            let want: Vec<ChangeId> = log
+                .modifying_subroutine_between(
+                    &r.series.target,
+                    r.change_time.saturating_sub(400),
+                    r.change_time + 1,
+                )
+                .iter()
+                .map(|c| c.id)
+                .collect();
+            assert_eq!(got, &want, "{} at {}", r.series.target, r.change_time);
+        }
+        assert!(walked.iter().filter(|m| !m.is_empty()).count() > 20);
+        assert!(candidate_changes(&[], &log, 400).is_empty());
     }
 
     #[test]
     fn feature_vector_has_fixed_layout() {
         let model = TfIdf::fit(&["svc::foo.gcpu", "svc::bar.gcpu"], &[2, 3]);
-        let v = feature_vector(&regression("foo", 100), &model, 0b11).unwrap();
+        let signature = model.document_signature(0).unwrap();
+        let v = feature_vector(&regression("foo", 100), signature, 0b11).unwrap();
         assert_eq!(v.len(), 9);
         assert_eq!(v[8], 3.0); // The bitmap rides in the last slot.
         assert!(v[0] >= 0.0); // Variance.
@@ -155,12 +236,20 @@ mod tests {
 
     #[test]
     fn same_metric_ids_share_signature_features() {
-        let model = TfIdf::fit(&["svc::foo.gcpu", "svc::bar.gcpu"], &[2, 3]);
-        let a = feature_vector(&regression("foo", 100), &model, 0).unwrap();
-        let b = feature_vector(&regression("foo", 200), &model, 0).unwrap();
+        let batch = [
+            regression("foo", 100),
+            regression("foo", 200),
+            regression("bar", 100),
+        ];
+        let ids: Vec<String> = batch.iter().map(Regression::metric_id).collect();
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        let model = TfIdf::fit(&refs, &[2, 3]);
+        let features =
+            |i: usize| feature_vector(&batch[i], model.document_signature(i).unwrap(), 0).unwrap();
+        let (a, b) = (features(0), features(1));
         assert_eq!(a[6], b[6]);
         assert_eq!(a[7], b[7]);
-        let c = feature_vector(&regression("bar", 100), &model, 0).unwrap();
+        let c = features(2);
         assert_ne!((a[6], a[7]), (c[6], c[7]));
     }
 }

@@ -10,7 +10,7 @@
 use crate::types::Regression;
 use fbd_cluster::pairwise::{Group, PairwiseClusterer};
 use fbd_stats::regression::pearson_aligned;
-use fbd_stats::text::TfIdf;
+use fbd_stats::text::{SparseVector, TfIdf};
 
 /// How feature scores combine into a merge decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +92,9 @@ pub type OverlapFn = Box<dyn Fn(&str, &str) -> f64 + Send + Sync>;
 pub struct PairwiseDedup {
     rule: MergeRule,
     tfidf: TfIdf,
+    /// Each distinct corpus metric id and its first document in the fit,
+    /// sorted by id.
+    corpus_index: Vec<(String, usize)>,
     /// Optional callback computing stack-trace overlap between two
     /// regressed subroutine names.
     overlap: Option<OverlapFn>,
@@ -99,13 +102,38 @@ pub struct PairwiseDedup {
 
 impl PairwiseDedup {
     /// Creates a dedup engine. `corpus` should contain the metric IDs the
-    /// TF-IDF model is fitted on (all known regressions' ids).
+    /// TF-IDF model is fitted on (all known regressions' ids); each is
+    /// transformed once, here.
     pub fn new(rule: MergeRule, corpus: &[String]) -> Self {
         let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
+        let mut corpus_index: Vec<(String, usize)> = corpus.iter().cloned().zip(0..).collect();
+        // Stable, so a repeated id keeps its first document.
+        corpus_index.sort_by(|a, b| a.0.cmp(&b.0));
+        corpus_index.dedup_by(|later, first| later.0 == first.0);
         PairwiseDedup {
             rule,
             tfidf: TfIdf::fit(&refs, &[2, 3]),
+            corpus_index,
             overlap: None,
+        }
+    }
+
+    /// The fitted TF-IDF vector of a corpus metric id.
+    fn corpus_vector(&self, metric_id: &str) -> Option<&SparseVector> {
+        let at = self
+            .corpus_index
+            .binary_search_by(|(id, _)| id.as_str().cmp(metric_id))
+            .ok()?;
+        self.tfidf.document(self.corpus_index[at].1)
+    }
+
+    /// Metric-id cosine similarity: the stored vectors' for corpus ids, a
+    /// transform of both ids under the model otherwise.
+    fn text_similarity(&self, a: &Regression, b: &Regression) -> f64 {
+        let (a, b) = (a.metric_id(), b.metric_id());
+        match (self.corpus_vector(&a), self.corpus_vector(&b)) {
+            (Some(va), Some(vb)) => va.cosine(vb),
+            _ => self.tfidf.similarity(&a, &b),
         }
     }
 
@@ -125,7 +153,7 @@ impl PairwiseDedup {
             b.windows.analysis_and_extended(),
         )
         .unwrap_or(0.0);
-        let text_similarity = self.tfidf.similarity(&a.metric_id(), &b.metric_id());
+        let text_similarity = self.text_similarity(a, b);
         let stack_overlap = self
             .overlap
             .as_ref()
@@ -289,6 +317,24 @@ mod tests {
         let groups = e.dedup(vec![newcomer], existing);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].members.len(), 2);
+    }
+
+    #[test]
+    fn stored_vectors_score_like_a_fresh_transform() {
+        let regs = vec![
+            regression("svc", "hot", MetricKind::GCpu, 1),
+            regression("svc", "hot", MetricKind::Latency, 2),
+            regression("svc", "hot", MetricKind::GCpu, 3),
+            regression("other", "cold_path", MetricKind::Throughput, 4),
+        ];
+        let e = engine(MergeRule::default(), &regs);
+        let outsider = regression("svc", "hot_outside", MetricKind::GCpu, 5);
+        for a in regs.iter().chain([&outsider]) {
+            for b in regs.iter().chain([&outsider]) {
+                let want = e.tfidf.similarity(&a.metric_id(), &b.metric_id());
+                assert_eq!(e.scores(a, b).text_similarity.to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!                 + w3·(1 − PopularityScore) + w4·PotentialRootCauseFound
 //! ```
 
-use crate::dedup::features::{feature_vector, root_cause_bitmap};
+use crate::dedup::features::{candidate_changes, feature_vector, root_cause_bitmap};
 use crate::error::DetectError;
 use crate::types::Regression;
 use crate::Result;
-use fbd_changelog::ChangeLog;
+use fbd_changelog::{ChangeId, ChangeLog};
 use fbd_cluster::som::cluster_by_cell;
 use fbd_cluster::{SelfOrganizingMap, SomConfig};
 use fbd_stats::text::TfIdf;
@@ -98,42 +98,30 @@ where
             members: vec![0],
         }]);
     }
-    // TF-IDF model over this batch's metric ids.
-    let ids: Vec<String> = regressions.iter().map(|r| r.metric_id()).collect();
+    // TF-IDF model over this batch's metric ids; each id's signature is a
+    // lookup into the fit.
+    let ids: Vec<String> = regressions.iter().map(Regression::metric_id).collect();
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let tfidf = TfIdf::fit(&id_refs, &[2, 3]);
-    // Candidate list shared by the batch: every change modifying any
-    // regressed subroutine near any change point.
-    let candidates: Vec<u64> = match log {
-        Some(log) => {
-            let mut c: Vec<u64> = regressions
-                .iter()
-                .flat_map(|r| {
-                    log.modifying_subroutine_between(
-                        &r.series.target,
-                        r.change_time.saturating_sub(config.rca_lookback),
-                        r.change_time + 1,
-                    )
-                    .into_iter()
-                    .map(|ch| ch.id)
-                    .collect::<Vec<u64>>()
-                })
-                .collect();
-            c.sort_unstable();
-            c.dedup();
-            c
-        }
-        None => Vec::new(),
+    // Each regression's changelog matches, found once: the batch's
+    // candidate list is their sorted union, and a regression's bitmap
+    // flags its matches' positions in it.
+    let matches: Vec<Vec<ChangeId>> = match log {
+        Some(log) => candidate_changes(regressions, log, config.rca_lookback),
+        None => vec![Vec::new(); regressions.len()],
     };
+    let mut candidates: Vec<ChangeId> = matches.iter().flatten().copied().collect();
+    candidates.sort_unstable();
+    candidates.dedup();
     let mut bitmaps = Vec::with_capacity(regressions.len());
     let mut features = Vec::with_capacity(regressions.len());
-    for r in regressions {
-        let bitmap = match log {
-            Some(log) => root_cause_bitmap(r, log, &candidates, config.rca_lookback),
-            None => 0,
-        };
+    for (i, (r, matching)) in regressions.iter().zip(&matches).enumerate() {
+        let bitmap = root_cause_bitmap(matching, &candidates);
+        let signature = tfidf
+            .document_signature(i)
+            .ok_or(DetectError::Internal("TF-IDF fit lost a document"))?;
         bitmaps.push(bitmap);
-        features.push(feature_vector(r, &tfidf, bitmap)?);
+        features.push(feature_vector(r, signature, bitmap)?);
     }
     let som_config = SomConfig {
         seed: config.seed,
@@ -243,6 +231,36 @@ mod tests {
         let groups = som_dedup(&one, None, &SomDedupConfig::default(), |_| 0.0).unwrap();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].representative, 0);
+    }
+
+    #[test]
+    fn change_time_at_the_end_of_time_does_not_wrap() {
+        let mut log = ChangeLog::new();
+        for (id, time) in [(1, 500), (2, u64::MAX - 3), (3, u64::MAX)] {
+            log.record(fbd_changelog::Change {
+                id,
+                kind: fbd_changelog::ChangeKind::Code,
+                service: "svc".into(),
+                deploy_time: time,
+                modified_subroutines: vec!["a::x".into()],
+                title: String::new(),
+                summary: String::new(),
+                files: vec![],
+                author: String::new(),
+            });
+        }
+        let mut batch = vec![
+            regression("a::x", 0.2, 1),
+            regression("a::x", 0.2, 2),
+            regression("b::y", 0.01, 3),
+        ];
+        for r in &mut batch {
+            r.change_time = u64::MAX;
+        }
+        let groups = som_dedup(&batch, Some(&log), &SomDedupConfig::default(), |_| 0.0).unwrap();
+        let mut all: Vec<usize> = groups.iter().flat_map(|g| g.members.clone()).collect();
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2]);
     }
 
     #[test]

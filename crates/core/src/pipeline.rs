@@ -29,7 +29,7 @@ use crate::dedup::som_dedup::{som_dedup, SomDedupConfig};
 use crate::long_term::LongTermDetector;
 use crate::profile::StageNanos;
 use crate::quarantine::{FaultKind, Quarantine, QuarantineConfig};
-use crate::root_cause::{RcaContext, RootCauseAnalyzer};
+use crate::root_cause::{ChangeText, RcaContext, RootCauseAnalyzer};
 use crate::scan_cache::CacheStats;
 use crate::scan_state::{
     CachedScan, EngineStats, OnlinePolicy, Prepared, ShortVerdict, StreamingEngine,
@@ -537,8 +537,10 @@ impl Pipeline {
             .map(|g| g.representative().clone())
             .collect();
         // --- Stage 9: root cause analysis. An RCA failure leaves the
-        // report un-attributed rather than losing it. ---
+        // report un-attributed rather than losing it. The reports share
+        // one memo of change word vectors. ---
         if let Some(log) = context.changelog {
+            let mut change_text = ChangeText::new(log);
             for r in reports.iter_mut() {
                 let (before, after) = split_samples(context.samples, r.change_time);
                 let rca_context = RcaContext {
@@ -546,7 +548,7 @@ impl Pipeline {
                     samples_after: after,
                     graph: context.graph,
                 };
-                match self.rca.analyze(r, log, &rca_context) {
+                match self.rca.analyze_with(r, &rca_context, &mut change_text) {
                     Ok(ranked) => {
                         r.root_cause_candidates =
                             ranked.into_iter().map(|c| c.change_id).collect();

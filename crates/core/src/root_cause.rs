@@ -19,8 +19,8 @@ use crate::Result;
 use fbd_changelog::{Change, ChangeId, ChangeLog};
 use fbd_profiler::callgraph::{CallGraph, FrameId};
 use fbd_profiler::sample::StackSample;
-use fbd_stats::regression::pearson;
-use fbd_stats::text::{cosine_similarity, weighted_word_vector, SparseVector};
+use fbd_stats::regression::StepCorrelation;
+use fbd_stats::text::{weighted_word_vector, SparseVector};
 use std::collections::BTreeMap;
 
 /// Evidence available to RCA beyond the time series itself.
@@ -78,9 +78,24 @@ impl RootCauseAnalyzer {
         log: &ChangeLog,
         context: &RcaContext<'_>,
     ) -> Result<Vec<RankedCandidate>> {
+        self.analyze_with(regression, context, &mut ChangeText::new(log))
+    }
+
+    /// [`RootCauseAnalyzer::analyze`] against `changes`' log, taking each
+    /// candidate change's word vector from `changes` — built on its first
+    /// use, so the reports of one scan build each change's vector once.
+    /// The ranking is bit-identical to `analyze`'s.
+    pub fn analyze_with(
+        &self,
+        regression: &Regression,
+        context: &RcaContext<'_>,
+        changes: &mut ChangeText<'_>,
+    ) -> Result<Vec<RankedCandidate>> {
         let start = regression.change_time.saturating_sub(self.lookback);
-        let candidates = log.deployed_between(start, regression.change_time + 1);
-        if candidates.is_empty() {
+        let positions = changes
+            .log
+            .positions_between(start, regression.change_time.saturating_add(1));
+        if positions.is_empty() {
             return Ok(Vec::new());
         }
         // Everything that depends on the regression alone is computed once
@@ -88,15 +103,19 @@ impl RootCauseAnalyzer {
         // the timing factor of each distinct sample index a deploy lands on.
         let regression_vector = regression_word_vector(regression, context);
         let clock = SampleClock::of(regression);
+        let steps = StepCorrelation::new(regression.windows.all());
         let mut timing_by_index: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut ranked = Vec::with_capacity(candidates.len());
-        for change in candidates {
+        let mut ranked = Vec::with_capacity(positions.len());
+        let log = changes.log;
+        for (change, position) in log.all()[positions.clone()].iter().zip(positions) {
             let attribution = self.gcpu_attribution_factor(regression, change, context);
-            let text = cosine_similarity(&regression_vector, &change_word_vector(change));
+            let text = regression_vector.cosine(changes.vector(position));
             let timing = clock.index_of(change.deploy_time).map_or(0.0, |index| {
+                // Factor 3: Pearson correlation between the series and a
+                // unit step at the deploy's sample, floored at zero.
                 *timing_by_index
                     .entry(index)
-                    .or_insert_with(|| step_correlation(regression.windows.all(), index))
+                    .or_insert_with(|| steps.at(index).map_or(0.0, |c| c.max(0.0)))
             });
             let score = self.factor_weights[0] * attribution
                 + self.factor_weights[1] * text
@@ -150,13 +169,15 @@ impl RootCauseAnalyzer {
             &modified,
         )
     }
-
 }
 
 /// Factor 2, regression side: weighted words of the metric id, the
 /// regressed subroutine and — when a graph is available (the paper's "stack
 /// traces (if available)") — the stack-frame names on its path to the root.
-fn regression_word_vector(regression: &Regression, context: &RcaContext<'_>) -> SparseVector {
+fn regression_word_vector(
+    regression: &Regression,
+    context: &RcaContext<'_>,
+) -> SparseVector<String> {
     let metric_id = regression.metric_id();
     let mut fields: Vec<(&str, f64)> = vec![
         (metric_id.as_str(), 1.0),
@@ -182,15 +203,60 @@ fn regression_word_vector(regression: &Regression, context: &RcaContext<'_>) -> 
 }
 
 /// Factor 2, change side: weighted words of the title, summary, files and
-/// modified subroutines.
-fn change_word_vector(change: &Change) -> SparseVector {
-    let files = change.files.join(" ");
-    weighted_word_vector(&[
-        (change.title.as_str(), 2.0),
-        (change.summary.as_str(), 1.0),
-        (files.as_str(), 1.0),
-        (change.modified_subroutines.join(" ").as_str(), 2.0),
-    ])
+/// modified subroutines. Each file and subroutine is its own field, which
+/// tokenizes as the space-joined list would.
+fn change_word_vector(change: &Change) -> SparseVector<String> {
+    let fields: Vec<(&str, f64)> = [(change.title.as_str(), 2.0), (change.summary.as_str(), 1.0)]
+        .into_iter()
+        .chain(change.files.iter().map(|f| (f.as_str(), 1.0)))
+        .chain(
+            change
+                .modified_subroutines
+                .iter()
+                .map(|s| (s.as_str(), 2.0)),
+        )
+        .collect();
+    weighted_word_vector(&fields)
+}
+
+/// The word vectors of a change log's changes, built on first use: one
+/// scan's reports share it, so a change in several reports' lookback
+/// windows is tokenized once. A change's vector depends on the change
+/// alone, so sharing cannot move a score.
+pub struct ChangeText<'a> {
+    log: &'a ChangeLog,
+    /// Log position of `slots[0]`.
+    base: usize,
+    /// Vectors of log positions `base..base + slots.len()`, once built.
+    slots: Vec<Option<SparseVector<String>>>,
+}
+
+impl<'a> ChangeText<'a> {
+    /// An empty memo over `log`.
+    pub fn new(log: &'a ChangeLog) -> Self {
+        ChangeText {
+            log,
+            base: 0,
+            slots: Vec::new(),
+        }
+    }
+
+    /// The word vector of the change at `position` in the log.
+    fn vector(&mut self, position: usize) -> &SparseVector<String> {
+        if self.slots.is_empty() {
+            self.base = position;
+        } else if position < self.base {
+            self.slots
+                .splice(0..0, std::iter::repeat_n(None, self.base - position));
+            self.base = position;
+        }
+        let at = position - self.base;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, None);
+        }
+        let log = self.log;
+        self.slots[at].get_or_insert_with(|| change_word_vector(&log.all()[position]))
+    }
 }
 
 /// Per-sample timestamps of a regression's windows, reconstructed from the
@@ -224,15 +290,6 @@ impl SampleClock {
         let index = ((deploy_time as f64 - self.start_time) / self.dt).round();
         (index > 0.0 && (index as usize) < self.samples - 1).then_some(index as usize)
     }
-}
-
-/// Factor 3: Pearson correlation between the series and a unit step at
-/// sample `index`, floored at zero.
-fn step_correlation(values: &[f64], index: usize) -> f64 {
-    let step: Vec<f64> = (0..values.len())
-        .map(|i| if i < index { 0.0 } else { 1.0 })
-        .collect();
-    pearson(values, &step).map(|c| c.max(0.0)).unwrap_or(0.0)
 }
 
 /// The Table 2 computation: `L/R` where `R` is the regression's gCPU change
@@ -489,6 +546,83 @@ mod tests {
             assert_eq!(shared.factors.map(f64::to_bits), alone[0].factors.map(f64::to_bits));
             assert!(shared.factors[2] > 0.0, "timing factor exercised");
         }
+    }
+
+    #[test]
+    fn shared_change_text_matches_per_report_analysis() {
+        // Reports whose lookback windows overlap, visited out of time order
+        // so the memo grows at both ends: the shared vectors must give the
+        // scores and factors of a fresh analysis, bit for bit.
+        let words = [
+            "hot_path",
+            "cache",
+            "loosen",
+            "constraints",
+            "schema",
+            "retry",
+        ];
+        let mut log = ChangeLog::new();
+        for id in 1..=60u64 {
+            let w = |k: u64| words[((id * 7 + k) % words.len() as u64) as usize];
+            let mut c = change(
+                id,
+                9_900 + id * 5,
+                &[w(0)],
+                &format!("{} {} for {}", w(1), w(2), w(3)),
+            );
+            c.summary = format!("touches {} and {}", w(4), w(5));
+            c.files = vec![format!("src/{}.rs", w(2))];
+            log.record(c);
+        }
+        let analyzer = RootCauseAnalyzer {
+            factor_weights: [0.2, 0.5, 0.3],
+            lookback: 120,
+            confidence_threshold: 0.0,
+            top_k: usize::MAX,
+        };
+        let mut shared = ChangeText::new(&log);
+        for change_time in [10_100, 10_050, 10_180, 10_000, 10_140, 10_100, 10_300] {
+            let r = regression_with_step(change_time);
+            let fresh = analyzer.analyze(&r, &log, &RcaContext::default()).unwrap();
+            let memo = analyzer
+                .analyze_with(&r, &RcaContext::default(), &mut shared)
+                .unwrap();
+            assert!(
+                fresh.len() >= 5,
+                "{change_time}: {} candidates",
+                fresh.len()
+            );
+            assert_eq!(fresh.len(), memo.len());
+            for (f, m) in fresh.iter().zip(&memo) {
+                assert_eq!(f.change_id, m.change_id);
+                assert_eq!(f.score.to_bits(), m.score.to_bits());
+                assert_eq!(f.factors.map(f64::to_bits), m.factors.map(f64::to_bits));
+            }
+        }
+    }
+
+    #[test]
+    fn change_time_at_the_end_of_time_does_not_wrap() {
+        let mut log = ChangeLog::new();
+        log.record(change(1, 10, &["hot_path"], "early hot_path change"));
+        log.record(change(
+            2,
+            u64::MAX - 5,
+            &["hot_path"],
+            "late hot_path change",
+        ));
+        log.record(change(3, u64::MAX, &["hot_path"], "last hot_path change"));
+        let analyzer = RootCauseAnalyzer {
+            factor_weights: [0.0, 1.0, 0.0],
+            lookback: 100,
+            confidence_threshold: 0.0,
+            top_k: 3,
+        };
+        let r = regression_with_step(u64::MAX);
+        let ranked = analyzer.analyze(&r, &log, &RcaContext::default()).unwrap();
+        // `[MAX − 100, MAX)`: the window saturates at the end of time.
+        let ids: Vec<ChangeId> = ranked.iter().map(|c| c.change_id).collect();
+        assert_eq!(ids, vec![2]);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! `hash-order`: `HashMap`/`HashSet` iteration order is randomized per
 //! process (SipHash keys), so any hash collection in the crates that build
 //! ordered or serialized output (`fbdetect-core`, `fbd-tsdb`,
-//! `fbd-changelog`) is one `.iter()` away from breaking the bit-identical
-//! fingerprint guarantee. Use `BTreeMap`/`BTreeSet`, or keep the hash map
+//! `fbd-changelog`, `fbd-ingest`) or compute the numbers that output
+//! carries (`fbd-stats`, `fbd-cluster`) is one `.iter()` away from breaking
+//! the bit-identical fingerprint guarantee: a float sum in hash order
+//! differs in its last bits from run to run. Use `BTreeMap`/`BTreeSet`, or keep the hash map
 //! and suppress with a reason proving its order never escapes.
 //!
 //! `nondet-source`: `fbd-fleet` simulations and the `fbd-ingest` replay
@@ -20,8 +22,16 @@ use crate::lexer::CleanFile;
 
 pub struct HashOrder;
 
-/// Crates whose library code feeds ordered or serialized output.
-const ORDERED_OUTPUT_CRATES: &[&str] = &["fbdetect-core", "fbd-tsdb", "fbd-changelog", "fbd-ingest"];
+/// Crates whose library code feeds ordered or serialized output, or the
+/// numbers it carries.
+const ORDERED_OUTPUT_CRATES: &[&str] = &[
+    "fbdetect-core",
+    "fbd-tsdb",
+    "fbd-changelog",
+    "fbd-ingest",
+    "fbd-stats",
+    "fbd-cluster",
+];
 
 impl Rule for HashOrder {
     fn name(&self) -> &'static str {
@@ -157,11 +167,17 @@ mod tests {
     }
 
     #[test]
-    fn flags_hashmap_in_core_but_not_stats() {
+    fn flags_hashmap_in_core_stats_and_cluster_but_not_fleet() {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-        let d = run_rule(&HashOrder, src, "crates/core/src/a.rs");
-        assert_eq!(d.len(), 2); // one per line, not per occurrence
-        assert!(run_rule(&HashOrder, src, "crates/stats/src/a.rs").is_empty());
+        for path in [
+            "crates/core/src/a.rs",
+            "crates/stats/src/a.rs",
+            "crates/cluster/src/a.rs",
+        ] {
+            let d = run_rule(&HashOrder, src, path);
+            assert_eq!(d.len(), 2, "{path}"); // one per line, not per occurrence
+        }
+        assert!(run_rule(&HashOrder, src, "crates/fleet/src/a.rs").is_empty());
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! identical to the direct O(n²) transform it replaced).
 
 use crate::error::{ensure_finite, ensure_len};
+use crate::memo;
 use crate::scratch::ScratchVec;
 use crate::Result;
+use std::cell::RefCell;
 use std::f64::consts::{PI, TAU};
+use std::rc::Rc;
 
 /// Magnitudes of the first `n/2` DFT coefficients (excluding DC).
 ///
@@ -100,35 +103,29 @@ pub(crate) fn fft_pow2(re: &mut [f64], im: &mut [f64], invert: bool) {
             im.swap(i, j);
         }
     }
-    let sign = if invert { 1.0 } else { -1.0 };
-    // One trig table, computed directly (not by recurrence) so round-off
-    // stays at machine epsilon, serves every stage: the stage-`len` twiddle
-    // e^(sign·iτk/len) is entry k·(n/len), and both index computations
-    // round the same real angle to the same float (power-of-two scaling),
-    // so the transform is bit-identical to per-stage tables.
-    let step = sign * TAU / n as f64;
-    // Interleaved (cos, sin) pairs in one pooled buffer.
-    let mut twiddle = ScratchVec::with_capacity(n);
-    for k in 0..n / 2 {
-        let a = step * k as f64;
-        twiddle.push(a.cos());
-        twiddle.push(a.sin());
-    }
+    // One trig table per size and direction serves every stage: the
+    // stage-`len` twiddle e^(sign·iτk/len) is entry k·(n/len).
+    let twiddle = plan(PlanKey::Twiddles { n, inverse: invert });
     let mut len = 2;
     while len <= n {
         let half = len / 2;
-        let stride = n / len;
-        for start in (0..n).step_by(len) {
-            for k in 0..half {
-                let (wr, wi) = (twiddle[2 * k * stride], twiddle[2 * k * stride + 1]);
-                let a = start + k;
-                let b = a + half;
-                let vr = re[b] * wr - im[b] * wi;
-                let vi = re[b] * wi + im[b] * wr;
-                re[b] = re[a] - vr;
-                im[b] = im[a] - vi;
-                re[a] += vr;
-                im[a] += vi;
+        // Twiddle k of this stage is pair k·(n/len) of the table.
+        let stage_twiddles = twiddle.chunks_exact(n / len * 2);
+        for (block_re, block_im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+            let (a_re, b_re) = block_re.split_at_mut(half);
+            let (a_im, b_im) = block_im.split_at_mut(half);
+            let pairs = a_re
+                .iter_mut()
+                .zip(a_im.iter_mut())
+                .zip(b_re.iter_mut().zip(b_im.iter_mut()));
+            for (((ar, ai), (br, bi)), w) in pairs.zip(stage_twiddles.clone()) {
+                let (wr, wi) = (w[0], w[1]);
+                let vr = *br * wr - *bi * wi;
+                let vi = *br * wi + *bi * wr;
+                *br = *ar - vr;
+                *bi = *ai - vi;
+                *ar += vr;
+                *ai += vi;
             }
         }
         len <<= 1;
@@ -149,16 +146,9 @@ pub(crate) fn fft_pow2(re: &mut [f64], im: &mut [f64], invert: bool) {
 fn bluestein(data: &[f64]) -> (ScratchVec, ScratchVec) {
     let n = data.len();
     let m = (2 * n - 1).next_power_of_two();
-    // Chirp w_j = e^(−iπ·j²/n) as interleaved (cos, sin) pairs; the
-    // exponent is reduced mod 2n before the float conversion so the angle
-    // never grows with j².
-    let mut chirp = ScratchVec::with_capacity(2 * n);
-    for j in 0..n {
-        let e = (j * j) % (2 * n);
-        let a = -PI * e as f64 / n as f64;
-        chirp.push(a.cos());
-        chirp.push(a.sin());
-    }
+    let plan = plan(PlanKey::Chirp { n });
+    let (chirp, b) = plan.split_at(2 * n);
+    let (br, bi) = b.split_at(m);
     // a_j = x_j·w_j, zero-padded to m.
     let mut ar = ScratchVec::zeroed(m);
     let mut ai = ScratchVec::zeroed(m);
@@ -166,19 +156,7 @@ fn bluestein(data: &[f64]) -> (ScratchVec, ScratchVec) {
         ar[j] = x * chirp[2 * j];
         ai[j] = x * chirp[2 * j + 1];
     }
-    // b_j = conj(w_j), mirrored so index m−j stands in for −j.
-    let mut br = ScratchVec::zeroed(m);
-    let mut bi = ScratchVec::zeroed(m);
-    br[0] = chirp[0];
-    bi[0] = -chirp[1];
-    for j in 1..n {
-        br[j] = chirp[2 * j];
-        bi[j] = -chirp[2 * j + 1];
-        br[m - j] = br[j];
-        bi[m - j] = bi[j];
-    }
     fft_pow2(&mut ar, &mut ai, false);
-    fft_pow2(&mut br, &mut bi, false);
     for j in 0..m {
         let r = ar[j] * br[j] - ai[j] * bi[j];
         let i = ar[j] * bi[j] + ai[j] * br[j];
@@ -194,6 +172,89 @@ fn bluestein(data: &[f64]) -> (ScratchVec, ScratchVec) {
         im[k] = ar[k] * chirp[2 * k + 1] + ai[k] * chirp[2 * k];
     }
     (re, im)
+}
+
+/// What a transform plan holds: the data a transform of one size needs
+/// that depends on the size alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PlanKey {
+    /// The `n/2` interleaved `(cos, sin)` twiddles of a power-of-two FFT
+    /// of size `n`, forward or inverse.
+    Twiddles { n: usize, inverse: bool },
+    /// Bluestein's chirp for a non-power-of-two `n` (`n` interleaved
+    /// `(cos, sin)` pairs), then the length-`m` FFT of its mirrored
+    /// conjugate: `m` real parts, then `m` imaginary parts.
+    Chirp { n: usize },
+}
+
+/// Plans a thread keeps. A scan's spectra and smoothers use a handful of
+/// sizes: each window length's chirp, plus the forward and inverse twiddles
+/// of its padded size and of the smoothers' FFT sizes.
+const PLAN_TABLE_PLANS: usize = 32;
+
+/// `f64`s a thread's plan table may hold (1 MiB). A chirp plan is `2n + 2m`
+/// values (`m` the padded power of two) and a twiddle plan `n`, so chirps
+/// up to n = 2¹⁴ and twiddles up to n = 2¹⁷ can be kept; a larger plan is
+/// built per call.
+const PLAN_TABLE_F64S: usize = 1 << 17;
+
+thread_local! {
+    /// The thread's transform plans.
+    static PLAN_TABLE: RefCell<memo::Table<PlanKey>> =
+        const { RefCell::new(memo::Table::new(PLAN_TABLE_PLANS, PLAN_TABLE_F64S)) };
+}
+
+/// The plan for `key` from the thread's plan table, built on a miss (a
+/// chirp's build runs an FFT, which looks up its own twiddles).
+fn plan(key: PlanKey) -> Rc<[f64]> {
+    memo::get_or_build(&PLAN_TABLE, key, || match key {
+        PlanKey::Twiddles { n, inverse } => build_twiddles(n, inverse),
+        PlanKey::Chirp { n } => build_chirp(n),
+    })
+}
+
+/// Interleaved `(cos, sin)` of `sign·τk/n` for `k < n/2`, each computed
+/// directly (not by recurrence) so round-off stays at machine epsilon.
+/// Every FFT stage indexes this one table: both index computations round
+/// the same real angle to the same float (power-of-two scaling), so the
+/// transform is bit-identical to per-stage tables.
+fn build_twiddles(n: usize, inverse: bool) -> Rc<[f64]> {
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let step = sign * TAU / n as f64;
+    let mut twiddle = Vec::with_capacity(n);
+    for k in 0..n / 2 {
+        let a = step * k as f64;
+        twiddle.push(a.cos());
+        twiddle.push(a.sin());
+    }
+    twiddle.into()
+}
+
+/// Bluestein's size-`n` plan: the chirp `w_j = e^(−iπ·j²/n)`, then the
+/// FFT of `b_j = conj(w_j)` mirrored so index `m−j` stands in for `−j`.
+fn build_chirp(n: usize) -> Rc<[f64]> {
+    let m = (2 * n - 1).next_power_of_two();
+    let mut plan = vec![0.0; 2 * n + 2 * m];
+    let (chirp, b) = plan.split_at_mut(2 * n);
+    // The exponent is reduced mod 2n before the float conversion so the
+    // angle never grows with j².
+    for j in 0..n {
+        let e = (j * j) % (2 * n);
+        let a = -PI * e as f64 / n as f64;
+        chirp[2 * j] = a.cos();
+        chirp[2 * j + 1] = a.sin();
+    }
+    let (br, bi) = b.split_at_mut(m);
+    br[0] = chirp[0];
+    bi[0] = -chirp[1];
+    for j in 1..n {
+        br[j] = chirp[2 * j];
+        bi[j] = -chirp[2 * j + 1];
+        br[m - j] = br[j];
+        bi[m - j] = bi[j];
+    }
+    fft_pow2(br, bi, false);
+    plan.into()
 }
 
 /// Sliding dot products ("valid" cross-correlations) of `signal` against a
@@ -268,8 +329,15 @@ pub fn spectral_features(data: &[f64], top_k: usize) -> Result<SpectralFeatures>
     let low_energy: f64 = mags[..quarter].iter().map(|m| m * m).sum();
     let mut indexed: Vec<(usize, f64)> =
         mags.iter().enumerate().map(|(i, &m)| (i + 1, m)).collect();
-    indexed.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let top = indexed.into_iter().take(top_k);
+    // Strongest first; equal magnitudes in bin order, as a stable sort
+    // leaves them. Only the `top_k` strongest are sorted.
+    let order = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if top_k < indexed.len() {
+        indexed.select_nth_unstable_by(top_k, order);
+        indexed.truncate(top_k);
+    }
+    indexed.sort_unstable_by(order);
+    let top = indexed.into_iter();
     let (dominant_bins, dominant_magnitudes) = top.fold(
         (Vec::new(), Vec::new()),
         |(mut bins, mut mags), (bin, mag)| {
@@ -372,6 +440,44 @@ mod tests {
         let slow = magnitude_spectrum_naive(&data).unwrap();
         for (f, s) in fast.iter().zip(&slow) {
             assert!((f - s).abs() < 1e-9, "fast {f} vs slow {s}");
+        }
+    }
+
+    #[test]
+    fn plan_table_is_bounded_and_cannot_change_a_spectrum() {
+        let probes: Vec<usize> = vec![
+            2, 3, 4, 7, 64, 97, 100, 128, 225, 257, 450, 900, 1024, 1031, 1200,
+        ];
+        let spectra = |sizes: &[usize]| -> Vec<Vec<u64>> {
+            sizes
+                .iter()
+                .map(|&n| {
+                    let spectrum = magnitude_spectrum(&pseudo_series(n, n as u64 + 3)).unwrap();
+                    spectrum.iter().map(|m| m.to_bits()).collect()
+                })
+                .collect()
+        };
+        let sizes = probes.clone();
+        let fresh = std::thread::spawn(move || spectra(&sizes)).join().unwrap();
+        let held = || PLAN_TABLE.with(|t| t.borrow().held());
+        // Cycle this thread's table through every size, primes and powers
+        // of two among them, checking the bound after each transform.
+        for n in 2..=1200 {
+            magnitude_spectrum(&pseudo_series(n, 11)).unwrap();
+            let (plans, f64s) = held();
+            assert!(
+                plans <= PLAN_TABLE_PLANS && f64s <= PLAN_TABLE_F64S,
+                "n={n}: {plans} plans, {f64s} f64s"
+            );
+        }
+        assert_eq!(spectra(&probes), fresh);
+        // Twice in a row: the second of each is served from the table.
+        for &n in &probes {
+            let data = pseudo_series(n, 5);
+            let first = magnitude_spectrum(&data).unwrap();
+            let second = magnitude_spectrum(&data).unwrap();
+            assert_eq!(first, second);
+            assert!(held().1 <= PLAN_TABLE_F64S);
         }
     }
 

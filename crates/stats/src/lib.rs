@@ -34,6 +34,7 @@ pub mod em;
 pub mod error;
 pub mod fourier;
 pub mod hypothesis;
+mod memo;
 pub mod online;
 pub mod prefix;
 pub mod regression;

@@ -104,6 +104,59 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64> {
     Ok(cov / (va * vb).sqrt())
 }
 
+/// Pearson correlations of one series against unit steps (0 before the
+/// step's index, 1 from it on) at many indices, walking the series once
+/// per index without building the step. The series' mean and centred sum
+/// of squares are computed once. Each [`StepCorrelation::at`] is
+/// bit-identical to [`pearson`] against the explicit step, errors included.
+#[derive(Debug, Clone)]
+pub struct StepCorrelation<'a> {
+    values: &'a [f64],
+    /// The series' mean and centred sum of squares, or why it cannot be
+    /// correlated.
+    moments: std::result::Result<(f64, f64), StatsError>,
+}
+
+impl<'a> StepCorrelation<'a> {
+    /// Prepares `values` for correlation against steps.
+    pub fn new(values: &'a [f64]) -> Self {
+        let moments = ensure_len(values, 2)
+            .and_then(|()| ensure_finite(values))
+            .map(|()| {
+                let mean = values.iter().sum::<f64>() / values.len() as f64;
+                let ss = values
+                    .iter()
+                    .fold(0.0, |ss, &x| ss + (x - mean) * (x - mean));
+                (mean, ss)
+            });
+        StepCorrelation { values, moments }
+    }
+
+    /// Pearson correlation against the step at `index`.
+    pub fn at(&self, index: usize) -> Result<f64> {
+        let (ma, va) = self.moments.clone()?;
+        let len = self.values.len();
+        let split = index.min(len);
+        // The step's sum is the count of its ones, exactly (`pearson` sums
+        // zeros and ones).
+        let mb = (len - split) as f64 / len as f64;
+        let (c0, c1) = (0.0 - mb, 1.0 - mb);
+        let (mut cov, mut vb) = (0.0, 0.0);
+        for &x in &self.values[..split] {
+            cov += (x - ma) * c0;
+            vb += c0 * c0;
+        }
+        for &x in &self.values[split..] {
+            cov += (x - ma) * c1;
+            vb += c1 * c1;
+        }
+        if !(va > 0.0 && vb > 0.0) {
+            return Err(StatsError::Degenerate("zero variance in correlation"));
+        }
+        Ok(cov / (va * vb).sqrt())
+    }
+}
+
 /// Pearson correlation between two series that may differ in length: the
 /// longer one is truncated at the tail. Convenient for correlating a
 /// regression window against a root-cause-candidate metric (§5.6).

@@ -9,6 +9,7 @@
 
 use crate::descriptive;
 use crate::error::{ensure_finite, ensure_len};
+use crate::memo;
 use crate::scratch::ScratchVec;
 use crate::{Result, StatsError};
 use std::cell::RefCell;
@@ -341,46 +342,15 @@ const KERNEL_TABLE_SETS: usize = 32;
 /// every window up to 510 can be kept; a larger one is built per call.
 const KERNEL_TABLE_F64S: usize = 1 << 17;
 
-/// The thread's folded kernel sets by window, most recently used first.
-struct KernelTable {
-    sets: Vec<(usize, Rc<[f64]>)>,
-}
-
 thread_local! {
-    static KERNEL_TABLE: RefCell<KernelTable> =
-        const { RefCell::new(KernelTable { sets: Vec::new() }) };
+    /// The thread's folded kernel sets, keyed by window.
+    static KERNEL_TABLE: RefCell<memo::Table<usize>> =
+        const { RefCell::new(memo::Table::new(KERNEL_TABLE_SETS, KERNEL_TABLE_F64S)) };
 }
 
-impl KernelTable {
-    fn held_f64s(&self) -> usize {
-        self.sets.iter().map(|(_, k)| k.len()).sum()
-    }
-
-    /// The kernel set for `window`, built on a miss; least recently used
-    /// sets are evicted to stay inside both bounds. A set is a pure
-    /// function of `window`, so what a thread smoothed before cannot
-    /// change a result — only whether this call pays for the build.
-    fn get(&mut self, window: usize) -> Rc<[f64]> {
-        if let Some(at) = self.sets.iter().position(|(w, _)| *w == window) {
-            self.sets[..=at].rotate_right(1);
-            return Rc::clone(&self.sets[0].1);
-        }
-        let kernels = build_folded_kernels(window);
-        if kernels.len() <= KERNEL_TABLE_F64S {
-            while self.sets.len() >= KERNEL_TABLE_SETS
-                || self.held_f64s() + kernels.len() > KERNEL_TABLE_F64S
-            {
-                self.sets.pop();
-            }
-            self.sets.insert(0, (window, Rc::clone(&kernels)));
-        }
-        kernels
-    }
-}
-
-/// The folded kernel set for `window` from the thread's [`KernelTable`].
+/// The folded kernel set for `window` from the thread's kernel table.
 fn folded_kernels(window: usize) -> Rc<[f64]> {
-    KERNEL_TABLE.with(|t| t.borrow_mut().get(window))
+    memo::get_or_build(&KERNEL_TABLE, window, || build_folded_kernels(window))
 }
 
 /// Every fixed kernel a uniform-weight Loess of this `window` needs, as
@@ -937,10 +907,7 @@ mod tests {
     }
 
     fn table_size() -> (usize, usize) {
-        KERNEL_TABLE.with(|t| {
-            let t = t.borrow();
-            (t.sets.len(), t.held_f64s())
-        })
+        KERNEL_TABLE.with(|t| t.borrow().held())
     }
 
     #[test]

@@ -213,6 +213,28 @@ proptest! {
     }
 
     #[test]
+    fn step_correlation_is_bit_identical_to_explicit_step(
+        data in finite_series(0, 200),
+        indices in prop::collection::vec(0usize..220, 1..6),
+        nan_at in 0usize..1_200,
+    ) {
+        // About one case in twelve carries a NaN.
+        let mut data = data;
+        if nan_at < data.len() {
+            data[nan_at] = f64::NAN;
+        }
+        let steps = regression::StepCorrelation::new(&data);
+        for index in indices {
+            let step: Vec<f64> =
+                (0..data.len()).map(|i| if i < index { 0.0 } else { 1.0 }).collect();
+            let walked = steps.at(index);
+            let explicit = regression::pearson(&data, &step);
+            prop_assert_eq!(walked.clone().map(f64::to_bits), explicit.clone().map(f64::to_bits));
+            prop_assert_eq!(walked.err(), explicit.err());
+        }
+    }
+
+    #[test]
     fn cosine_similarity_symmetric(a in "[a-z]{1,20}", b in "[a-z]{1,20}") {
         let model = text::TfIdf::fit(&[a.as_str(), b.as_str()], &[2, 3]);
         let s1 = model.similarity(&a, &b);
