@@ -9,7 +9,8 @@
 use crate::config::DetectorConfig;
 use crate::types::{Regression, RegressionKind};
 use crate::Result;
-use fbd_stats::{distributions, em, hypothesis, prefix};
+use fbd_stats::prefix::{self, PrefixStats};
+use fbd_stats::{distributions, em, hypothesis};
 use fbd_tsdb::{SeriesId, Timestamp, WindowedData};
 
 /// The short-term change-point detector.
@@ -38,13 +39,28 @@ impl ChangePointDetector {
         windows: &WindowedData,
         now: Timestamp,
     ) -> Result<Option<Regression>> {
+        let prefix = prefix::validated(windows.all(), 8).ok();
+        self.detect_with(series, windows, prefix.as_ref(), now)
+    }
+
+    /// [`Self::detect`] over the window's prefix statistics, built once
+    /// per window by the pipeline and shared with the long-term
+    /// pre-filter: `prefix` is `prefix::validated(windows.all(), 8)`, or
+    /// `None` where that fails.
+    pub(crate) fn detect_with(
+        &self,
+        series: &SeriesId,
+        windows: &WindowedData,
+        prefix: Option<&PrefixStats>,
+        now: Timestamp,
+    ) -> Result<Option<Regression>> {
         let data = windows.all();
         if data.len() < 8 || windows.analysis_len() == 0 {
             return Ok(None);
         }
         // Degenerate series (non-finite samples) carry no change point. One
         // prefix build serves the skip bound, the EM fit, and the LRT.
-        let Ok(ps) = prefix::validated(data, 8) else {
+        let Some(ps) = prefix else {
             return Ok(None);
         };
         // The change must fall within the analysis region (or its boundary);
@@ -56,22 +72,24 @@ impl ChangePointDetector {
         // statistic of any change point the fit could report. If even that
         // split cannot reject H0, no in-region candidate can, and every
         // out-of-region candidate is dropped by the gate below anyway.
-        let Some(bound) =
-            hypothesis::max_lrt_statistic_in_range(&ps, analysis_begin, analysis_end.saturating_sub(1))
-        else {
+        let Some(bound) = hypothesis::max_lrt_statistic_in_range(
+            ps,
+            analysis_begin,
+            analysis_end.saturating_sub(1),
+        ) else {
             return Ok(None);
         };
         if distributions::chi_squared_p_value(bound, 2.0) >= self.significance {
             return Ok(None);
         }
-        let Ok(fit) = em::fit_two_segment_from_prefix(&ps, self.max_iterations) else {
+        let Ok(fit) = em::fit_two_segment_from_prefix(ps, self.max_iterations) else {
             return Ok(None);
         };
         if fit.change_point < analysis_begin || fit.change_point >= analysis_end {
             return Ok(None);
         }
         let test =
-            hypothesis::likelihood_ratio_test_from_prefix(&ps, fit.change_point, self.significance)?;
+            hypothesis::likelihood_ratio_test_from_prefix(ps, fit.change_point, self.significance)?;
         if !test.reject_null {
             return Ok(None);
         }

@@ -20,6 +20,7 @@ use crate::types::{Regression, RegressionKind};
 use crate::Result;
 use fbd_stats::changepoint::optimal_single_split;
 use fbd_stats::descriptive;
+use fbd_stats::prefix::PrefixStats;
 use fbd_stats::regression::linear_fit;
 use fbd_tsdb::{SeriesId, Timestamp, WindowedData};
 
@@ -115,19 +116,29 @@ impl LongTermDetector {
         windows: &WindowedData,
         _now: Timestamp,
     ) -> Result<Option<Regression>> {
-        self.detect_with(series, windows, &mut SeasonalArtifacts::default())
+        let prefix = fbd_stats::prefix::validated(windows.all(), 8).ok();
+        self.detect_with(
+            series,
+            windows,
+            prefix.as_ref(),
+            &mut SeasonalArtifacts::default(),
+        )
     }
 
-    /// [`Self::detect`] leaving its seasonality search and STL
-    /// decomposition in `artifacts`, for the filters that run on the same
-    /// window later in the round.
+    /// [`Self::detect`] over the window's prefix statistics — built once
+    /// per window by the pipeline and shared with the short-term detector:
+    /// `prefix` is `prefix::validated(windows.all(), 8)`, or `None` where
+    /// that fails — leaving its seasonality search and STL decomposition
+    /// in `artifacts`, for the filters that run on the same window later
+    /// in the round.
     pub fn detect_with(
         &self,
         series: &SeriesId,
         windows: &WindowedData,
+        prefix: Option<&PrefixStats>,
         artifacts: &mut SeasonalArtifacts,
     ) -> Result<Option<Regression>> {
-        if windows.all().len() < 16 || self.prefilter_says_flat(windows) {
+        if windows.all().len() < 16 || self.prefilter_says_flat(windows, prefix) {
             return Ok(None);
         }
         self.detect_inner(series, windows, artifacts)
@@ -154,11 +165,12 @@ impl LongTermDetector {
     /// two ways: a property test checks that skipped series are exactly
     /// series the full detector rejects, and the fleet-seed acceptance run
     /// checks scan decisions are unchanged.
-    fn prefilter_says_flat(&self, windows: &WindowedData) -> bool {
+    fn prefilter_says_flat(&self, windows: &WindowedData, prefix: Option<&PrefixStats>) -> bool {
         let data = windows.all();
-        // `validated` rejects non-finite data, so error paths still reach
-        // the full detector.
-        let Ok(prefix) = fbd_stats::prefix::validated(data, 16) else {
+        // The window has at least 16 points here, so its prefix exists
+        // exactly when every sample is finite: non-finite data has none and
+        // still reaches the full detector, which raises its error.
+        let Some(prefix) = prefix else {
             return false;
         };
         let (h_len, a_len) = (windows.historic_len(), windows.analysis_len());
@@ -167,7 +179,7 @@ impl LongTermDetector {
         };
         let [start_hist, start_anal, end_anal, end_series] = geo
             .regions
-            .map(|(lo, hi)| sliding_mean_bounds(&prefix, lo, hi, geo.dilation, geo.edge));
+            .map(|(lo, hi)| sliding_mean_bounds(prefix, lo, hi, geo.dilation, geo.edge));
         let (baseline_lb, current_ub) = baseline_and_current(
             [start_hist.0, start_anal.0, end_anal.1, end_series.1],
             windows.extended_len(),
@@ -285,7 +297,7 @@ pub(crate) fn baseline_and_current(means: [f64; 4], extended_len: usize) -> (f64
 /// 2d). Falls back to the dilated region's own mean when no full window
 /// fits.
 fn sliding_mean_bounds(
-    prefix: &fbd_stats::prefix::PrefixStats,
+    prefix: &PrefixStats,
     lo: usize,
     hi: usize,
     d: usize,
@@ -430,15 +442,18 @@ mod tests {
     #[test]
     fn prefilter_skips_flat_but_not_ramp() {
         let d = detector(0.05);
+        let says_flat = |w: &WindowedData| {
+            d.prefilter_says_flat(w, fbd_stats::prefix::validated(w.all(), 8).ok().as_ref())
+        };
         let flat = windows(noisy(200, 1.0, 0.05, 1), noisy(200, 1.0, 0.05, 2), vec![]);
-        assert!(d.prefilter_says_flat(&flat));
+        assert!(says_flat(&flat));
         let analysis: Vec<f64> = (0..200)
             .map(|i| 1.0 + 0.5 * i as f64 / 200.0)
             .zip(noisy(200, 0.0, 0.05, 2))
             .map(|(a, b)| a + b)
             .collect();
         let ramp = windows(noisy(200, 1.0, 0.05, 1), analysis, vec![]);
-        assert!(!d.prefilter_says_flat(&ramp));
+        assert!(!says_flat(&ramp));
     }
 
     #[test]
@@ -536,10 +551,11 @@ mod tests {
                     "case {i} thr {thr}: detect diverged from the full path"
                 );
                 let mut artifacts = SeasonalArtifacts::default();
-                let computed = render(d.detect_with(&sid(), w, &mut artifacts));
+                let prefix = fbd_stats::prefix::validated(w.all(), 8).ok();
+                let computed = render(d.detect_with(&sid(), w, prefix.as_ref(), &mut artifacts));
                 let kernels_run = artifacts.reuse.misses;
                 assert_eq!(
-                    render(d.detect_with(&sid(), w, &mut artifacts)),
+                    render(d.detect_with(&sid(), w, prefix.as_ref(), &mut artifacts)),
                     computed,
                     "case {i} thr {thr}: served answers changed the outcome"
                 );
@@ -553,6 +569,108 @@ mod tests {
     }
 
     #[test]
+    fn shared_prefix_path_equals_detect_for_both_detectors() {
+        // The pipeline builds one `validated(·, 8)` prefix per window and
+        // hands it to both detectors; each must then decide exactly as its
+        // standalone `detect` does, and the long-term pre-filter, which
+        // once validated at 16 points, must still let every window it
+        // cannot refute — non-finite ones included — reach the full path.
+        use crate::change_point::ChangePointDetector;
+        let cfg = DetectorConfig::new(
+            "shared-prefix",
+            fbd_tsdb::WindowConfig {
+                historic: 200,
+                analysis: 100,
+                extended: 50,
+                rerun_interval: 50,
+            },
+            Threshold::Absolute(0.1),
+        );
+        let short_term = ChangePointDetector::from_config(&cfg);
+        let ramp: Vec<f64> = (0..200).map(|i| 1.0 + 0.5 * i as f64 / 200.0).collect();
+        let mut step = noisy(100, 1.0, 0.02, 3);
+        for v in step[40..].iter_mut() {
+            *v += 0.6;
+        }
+        let with_nan = |mut v: Vec<f64>, at: usize| {
+            v[at] = f64::NAN;
+            v
+        };
+        let cases = [
+            windows(noisy(200, 1.0, 0.05, 1), noisy(200, 1.0, 0.05, 2), vec![]),
+            windows(
+                noisy(200, 1.0, 0.05, 1),
+                ramp.clone(),
+                noisy(50, 1.5, 0.05, 4),
+            ),
+            windows(noisy(300, 1.0, 0.02, 5), step.clone(), vec![]),
+            // A NaN in each region.
+            windows(
+                with_nan(noisy(200, 1.0, 0.05, 1), 17),
+                ramp.clone(),
+                noisy(50, 1.5, 0.05, 4),
+            ),
+            windows(noisy(300, 1.0, 0.02, 5), with_nan(step, 60), vec![]),
+            windows(
+                noisy(200, 1.0, 0.05, 1),
+                ramp,
+                with_nan(noisy(50, 1.5, 0.05, 4), 49),
+            ),
+            // Fewer than 8 points: no prefix at all.
+            windows(vec![1.0, 1.1, 0.9, 1.0], vec![2.0, 2.1, 1.9], vec![]),
+            // 8–15 points: a prefix, but too short for the long-term path.
+            windows(noisy(8, 1.0, 0.05, 6), vec![2.0, 2.1, 1.9, 2.0], vec![]),
+            windows(
+                vec![1.0, 1.1, 0.9, 1.0, 1.0, 1.1, 0.9, 1.0, 1.0],
+                vec![f64::NAN, 2.0],
+                vec![],
+            ),
+            // No analysis samples.
+            windows(noisy(200, 1.0, 0.05, 7), vec![], noisy(40, 1.5, 0.05, 8)),
+        ];
+        let render = |r: Result<Option<Regression>>| match r {
+            Ok(found) => format!("{found:?}"),
+            Err(e) => format!("Err({e})"),
+        };
+        let (mut short_reports, mut long_reports, mut no_prefix) = (0, 0, 0);
+        for (i, w) in cases.iter().enumerate() {
+            for thr in [0.05, 0.3] {
+                let long_term = detector(thr);
+                let prefix = fbd_stats::prefix::validated(w.all(), 8).ok();
+                no_prefix += usize::from(prefix.is_none());
+                let short = render(short_term.detect_with(&sid(), w, prefix.as_ref(), 7));
+                let long = render(long_term.detect_with(
+                    &sid(),
+                    w,
+                    prefix.as_ref(),
+                    &mut SeasonalArtifacts::default(),
+                ));
+                assert_eq!(
+                    short,
+                    render(short_term.detect(&sid(), w, 7)),
+                    "case {i}: short-term"
+                );
+                assert_eq!(
+                    long,
+                    render(long_term.detect(&sid(), w, 7)),
+                    "case {i} thr {thr}: long-term"
+                );
+                assert_eq!(
+                    long,
+                    render(long_term.detect_without_prefilter(&sid(), w, 7)),
+                    "case {i} thr {thr}: the shared prefix changed a long-term outcome"
+                );
+                short_reports += usize::from(short.starts_with("Some"));
+                long_reports += usize::from(long.starts_with("Some"));
+            }
+        }
+        assert!(
+            short_reports > 0 && long_reports > 0 && no_prefix > 0,
+            "vacuous: {short_reports} short, {long_reports} long, {no_prefix} without a prefix"
+        );
+    }
+
+    #[test]
     fn prefilter_relative_threshold_guard() {
         // A negative-baseline series with a relative threshold must never be
         // skipped (is_met is not monotone around zero).
@@ -563,6 +681,6 @@ mod tests {
             max_period: 30,
         };
         let w = windows(noisy(200, -1.0, 0.05, 1), noisy(200, -1.0, 0.05, 2), vec![]);
-        assert!(!d.prefilter_says_flat(&w));
+        assert!(!d.prefilter_says_flat(&w, fbd_stats::prefix::validated(w.all(), 8).ok().as_ref()));
     }
 }

@@ -634,7 +634,9 @@ impl Pipeline {
     /// Runs the short- and long-term detectors over one series' oriented,
     /// gated windows, then the went-away and seasonality filters on the
     /// short-term candidate — the one place a scan calls them, whichever
-    /// way the windows were obtained. The three consumers of a seasonality
+    /// way the windows were obtained. Both detectors read one
+    /// [`fbd_stats::prefix::PrefixStats`] of the window, built here (and
+    /// timed as short-term work); the three consumers of a seasonality
     /// search or STL decomposition of these windows share one
     /// [`SeasonalArtifacts`].
     fn run_detectors(
@@ -645,12 +647,16 @@ impl Pipeline {
         tally: &mut Tally,
     ) -> SeriesScan {
         let t = Instant::now();
-        let short = self.change_point.detect(id, windows, now)?;
+        let prefix = fbd_stats::prefix::validated(windows.all(), 8).ok();
+        let short = self
+            .change_point
+            .detect_with(id, windows, prefix.as_ref(), now)?;
         tally.stages.short_term += t.elapsed().as_nanos() as u64;
         let mut artifacts = SeasonalArtifacts::default();
         let t = Instant::now();
         let long = if self.config.long_term_enabled {
-            self.long_term.detect_with(id, windows, &mut artifacts)
+            self.long_term
+                .detect_with(id, windows, prefix.as_ref(), &mut artifacts)
         } else {
             Ok(None)
         };

@@ -32,10 +32,13 @@
 //!   faults, empty windows) are reused (*Level B*): a candidate's
 //!   `change_time` depends on the window timestamps, a quiet verdict does
 //!   not.
-//! * **Online detector refutation** (*Level C*) — on boundary rounds the
-//!   watermark jumps, every partition moves, and Levels A/B cannot fire;
-//!   historically that meant a cold detector pass over the whole fleet.
-//!   With an [`OnlinePolicy`] installed, the engine instead tries to
+//! * **Online detector refutation** (*Level C*) — whenever Levels A/B
+//!   cannot replay an outcome: on a series' first round (every series of
+//!   a cold scan by a fresh engine), and on rounds where the watermark
+//!   jumped and every partition moved. It is not a boundary-round
+//!   mechanism: it is the O(n) quiet-series pre-filter both detectors lean
+//!   on, and it refutes most of a cold scan's series (≈ 69 % on perfbench's
+//!   `cold_scan`). With an [`OnlinePolicy`] installed, the engine tries to
 //!   *refute* both detectors straight from the per-series [`RollingStats`]:
 //!   a sound upper bound on the short-term detector's best in-region
 //!   likelihood-ratio statistic ([`fbd_stats::online::max_lrt_upper_bound`])
@@ -764,8 +767,8 @@ impl StreamingEngine {
             return Prepared::Reuse(outcome);
         }
         // Level C: try to refute both detectors online from the rolling
-        // moments. Fires on boundary rounds, where the watermark jumped and
-        // partition equality (Levels A/B) cannot hold; a refuted series
+        // moments, wherever Levels A/B did not replay — a series' first
+        // round as much as a round whose watermark jumped. A refuted series
         // records its quiet outcome without building windows or running a
         // single detector kernel.
         if let Some(policy) = self.online {

@@ -16,6 +16,7 @@ use crate::Result;
 use fbd_stats::acf::{self, Seasonality};
 use fbd_stats::descriptive;
 use fbd_stats::stl::{decompose, StlConfig, StlDecomposition};
+use fbd_stats::StatsError;
 
 /// The seasonality-search and STL answers the detectors of one series share
 /// within one round: the long-term detector, the went-away filter and the
@@ -42,8 +43,10 @@ pub struct SeasonalArtifacts {
 
 impl SeasonalArtifacts {
     /// [`acf::find_seasonality`] for periods from 2 up over this value's
-    /// window, run at most once per distinct `(max_lag, threshold)`. Errors
-    /// are not retained.
+    /// window, run at most once per distinct `(max_lag, threshold)`. A
+    /// zero-variance window has no period (its autocorrelation is
+    /// undefined, not an error of the series); other errors are returned
+    /// and not retained.
     pub fn seasonality(
         &mut self,
         data: &[f64],
@@ -56,7 +59,10 @@ impl SeasonalArtifacts {
             return Ok(*found);
         }
         self.reuse.misses += 1;
-        let found = acf::find_seasonality(data, 2, max_lag, threshold)?;
+        let found = match acf::find_seasonality(data, 2, max_lag, threshold) {
+            Err(StatsError::Degenerate(_)) => None,
+            searched => searched?,
+        };
         self.searches.push((key, found));
         Ok(found)
     }
@@ -301,8 +307,9 @@ mod tests {
         let config = DetectorConfig::new("t", windows, Threshold::Absolute(0.1));
         assert!(r.windows.all().len() - 390 < 2 * config.max_seasonal_period);
         let mut artifacts = SeasonalArtifacts::default();
+        let prefix = fbd_stats::prefix::validated(r.windows.all(), 8).ok();
         LongTermDetector::from_config(&config)
-            .detect_with(&r.series, &r.windows, &mut artifacts)
+            .detect_with(&r.series, &r.windows, prefix.as_ref(), &mut artifacts)
             .unwrap();
         // Long-term was not pre-filtered out: it ran the search (and, the
         // series not being seasonal, no decomposition).

@@ -181,7 +181,10 @@ proptest! {
         };
         let standalone = bits(seasonality.evaluate(&r).unwrap());
         let mut seeded = SeasonalArtifacts::default();
-        LongTermDetector::from_config(&cfg).detect_with(&r.series, &r.windows, &mut seeded).unwrap();
+        let prefix = fbd_stats::prefix::validated(r.windows.all(), 8).ok();
+        LongTermDetector::from_config(&cfg)
+            .detect_with(&r.series, &r.windows, prefix.as_ref(), &mut seeded)
+            .unwrap();
         for mut artifacts in [seeded, SeasonalArtifacts::default()] {
             prop_assert_eq!(wa.evaluate_with(&r, &mut artifacts).unwrap(), v);
             prop_assert_eq!(bits(seasonality.evaluate_with(&r, &mut artifacts).unwrap()), standalone);

@@ -228,8 +228,13 @@ pub fn max(data: &[f64]) -> Result<f64> {
 ///
 /// Returns the `(mean, std_dev)` used, or an error if the variance is zero.
 pub fn z_normalize(data: &mut [f64]) -> Result<(f64, f64)> {
+    // `mean` then `std_dev`, with the variance reusing the mean (the same
+    // f64 `variance` would recompute): same bits, same errors in the same
+    // order, one finiteness sweep and one sum fewer.
     let m = mean(data)?;
-    let s = std_dev(data)?;
+    ensure_len(data, 2)?;
+    let ss: f64 = data.iter().map(|v| (v - m) * (v - m)).sum();
+    let s = (ss / (data.len() - 1) as f64).sqrt();
     if !(s > 0.0) {
         return Err(StatsError::Degenerate("zero variance in z-normalization"));
     }
@@ -309,6 +314,47 @@ mod tests {
             z_normalize(&mut data),
             Err(StatsError::Degenerate(_))
         ));
+    }
+
+    /// `z_normalize` as `mean` then `std_dev`, the pair it reuses one sum
+    /// of: the same `(mean, std_dev)` bits, or the first error of the two.
+    fn z_normalize_oracle(data: &[f64]) -> Result<(u64, u64, Vec<u64>)> {
+        let m = mean(data)?;
+        let s = std_dev(data)?;
+        if !(s > 0.0) {
+            return Err(StatsError::Degenerate("zero variance in z-normalization"));
+        }
+        let normalized = data.iter().map(|v| ((v - m) / s).to_bits()).collect();
+        Ok((m.to_bits(), s.to_bits(), normalized))
+    }
+
+    #[test]
+    fn z_normalize_equals_mean_then_std_dev_errors_included() {
+        let spread: Vec<f64> = (0..300)
+            .map(|i| 1.0 + ((i * 7919) % 211) as f64 * 1e-4)
+            .collect();
+        let cases: [&[f64]; 9] = [
+            &[],
+            &[4.0],
+            &[f64::NAN],
+            &[1.0, f64::NAN, 3.0],
+            &[f64::INFINITY, 2.0],
+            &[-0.0, -0.0],
+            &[2.0; 10],
+            &[1.0, 5.0, 3.0, 9.0, 7.0],
+            &spread,
+        ];
+        for data in cases {
+            let mut normalized = data.to_vec();
+            let got = z_normalize(&mut normalized).map(|(m, s)| {
+                (
+                    m.to_bits(),
+                    s.to_bits(),
+                    normalized.iter().map(|v| v.to_bits()).collect(),
+                )
+            });
+            assert_eq!(got, z_normalize_oracle(data), "{data:?}");
+        }
     }
 
     #[test]

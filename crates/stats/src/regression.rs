@@ -42,10 +42,16 @@ pub fn linear_fit(data: &[f64]) -> Result<LinearFit> {
     ensure_len(data, 2)?;
     ensure_finite(data)?;
     let n = data.len() as f64;
-    let sx: f64 = (0..data.len()).map(|i| i as f64).sum();
-    let sy: f64 = data.iter().sum();
-    let sxx: f64 = (0..data.len()).map(|i| (i * i) as f64).sum();
-    let sxy: f64 = data.iter().enumerate().map(|(i, &y)| i as f64 * y).sum();
+    // Four independent sums in one pass; each starts at -0.0, as
+    // `Iterator::sum` does, and takes the samples in order, so each is
+    // bit-identical to summing its own pass.
+    let (mut sx, mut sy, mut sxx, mut sxy) = (-0.0, -0.0, -0.0, -0.0);
+    for (i, &y) in data.iter().enumerate() {
+        sx += i as f64;
+        sy += y;
+        sxx += (i * i) as f64;
+        sxy += i as f64 * y;
+    }
     let denom = n * sxx - sx * sx;
     if denom.abs() < 1e-12 {
         return Err(StatsError::Degenerate("singular design matrix"));
@@ -168,6 +174,74 @@ pub fn pearson_aligned(a: &[f64], b: &[f64]) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`linear_fit`] as it was: one `Iterator::sum` pass per sum.
+    fn four_pass_fit(data: &[f64]) -> Result<LinearFit> {
+        ensure_len(data, 2)?;
+        ensure_finite(data)?;
+        let n = data.len() as f64;
+        let sx: f64 = (0..data.len()).map(|i| i as f64).sum();
+        let sy: f64 = data.iter().sum();
+        let sxx: f64 = (0..data.len()).map(|i| (i * i) as f64).sum();
+        let sxy: f64 = data.iter().enumerate().map(|(i, &y)| i as f64 * y).sum();
+        let denom = n * sxx - sx * sx;
+        if denom.abs() < 1e-12 {
+            return Err(StatsError::Degenerate("singular design matrix"));
+        }
+        let slope = (n * sxy - sx * sy) / denom;
+        let intercept = (sy - slope * sx) / n;
+        let mean_y = sy / n;
+        let mut ss_res = 0.0;
+        let mut ss_tot = 0.0;
+        for (i, &y) in data.iter().enumerate() {
+            let pred = intercept + slope * i as f64;
+            ss_res += (y - pred) * (y - pred);
+            ss_tot += (y - mean_y) * (y - mean_y);
+        }
+        let r_squared = if ss_tot > 0.0 {
+            1.0 - ss_res / ss_tot
+        } else {
+            1.0
+        };
+        Ok(LinearFit {
+            slope,
+            intercept,
+            rmse: (ss_res / n).sqrt(),
+            r_squared,
+        })
+    }
+
+    fn fit_bits(fit: Result<LinearFit>) -> Result<[u64; 4]> {
+        fit.map(|f| [f.slope, f.intercept, f.rmse, f.r_squared].map(f64::to_bits))
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_fit_is_bit_identical_to_four_sums(
+            data in prop::collection::vec(-1e3f64..1e3, 0..400),
+        ) {
+            prop_assert_eq!(fit_bits(linear_fit(&data)), fit_bits(four_pass_fit(&data)));
+        }
+    }
+
+    #[test]
+    fn one_pass_fit_matches_four_sums_on_edge_inputs() {
+        for data in [
+            &[][..],
+            &[1.0],
+            &[-0.0, -0.0],
+            &[0.0, -0.0, 0.0],
+            &[1.0, f64::NAN],
+            &[2.0; 5],
+        ] {
+            assert_eq!(
+                fit_bits(linear_fit(data)),
+                fit_bits(four_pass_fit(data)),
+                "{data:?}"
+            );
+        }
+    }
 
     #[test]
     fn perfect_line() {

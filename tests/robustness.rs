@@ -62,6 +62,44 @@ fn constant_series_is_harmless() {
 }
 
 #[test]
+fn flat_series_under_a_relative_threshold_is_not_a_detector_error() {
+    // A relative threshold cannot refute a baseline of zero or below, so a
+    // flat series reaches the long-term path's seasonality search; a
+    // zero-variance window has no period there, not a detector error that
+    // lands the series in quarantine on the next scan. A constant
+    // throughput series is negated by orientation, so it is the negative
+    // case whatever its value.
+    let cases = [
+        SeriesId::new("svc", MetricKind::GCpu, "zero"),
+        SeriesId::new("svc", MetricKind::GCpu, "negative"),
+        SeriesId::new("svc", MetricKind::Throughput, "qps"),
+    ];
+    let values = [0.0, -2.0, 5.0];
+    for (series, value) in cases.iter().zip(values) {
+        let store = TsdbStore::new();
+        store.insert_series(series.clone(), TimeSeries::from_values(0, 1, &[value; 500]));
+        let mut cfg = config();
+        cfg.threshold = Threshold::Relative(0.05);
+        let mut pipeline = Pipeline::new(cfg).unwrap();
+        for now in [450, 500] {
+            let out = pipeline
+                .scan(
+                    &store,
+                    std::slice::from_ref(series),
+                    now,
+                    &ScanContext::default(),
+                )
+                .unwrap();
+            let what = format!("{} at {now}", series.target);
+            assert!(out.reports.is_empty(), "{what}: reported");
+            assert_eq!(out.health.errored, 0, "{what}: errored");
+            assert_eq!(out.health.series_quarantined, 0, "{what}: quarantined");
+            assert_eq!(out.health.series_scanned, 1, "{what}: not scanned");
+        }
+    }
+}
+
+#[test]
 fn short_and_empty_series_are_skipped() {
     let store = TsdbStore::new();
     store.insert_series(id("tiny"), TimeSeries::from_values(0, 1, &[1.0, 2.0]));
