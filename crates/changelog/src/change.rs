@@ -1,12 +1,10 @@
 //! Change records.
 
-use serde::{Deserialize, Serialize};
-
 /// Unique identifier of a change.
 pub type ChangeId = u64;
 
 /// Whether a change is a code commit or a configuration change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChangeKind {
     /// A code commit.
     Code,
@@ -15,7 +13,7 @@ pub enum ChangeKind {
 }
 
 /// A code or configuration change, as root-cause analysis sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Change {
     /// Unique id.
     pub id: ChangeId,

@@ -16,8 +16,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Seasonality searches and STL decompositions actually run.
     pub misses: u64,
-    /// Always 0: nothing is retained, so nothing is evicted.
-    pub evicted: u64,
 }
 
 impl CacheStats {
@@ -35,7 +33,6 @@ impl CacheStats {
     pub fn accumulate(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.evicted += other.evicted;
     }
 }
 
@@ -60,7 +57,7 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(first, acf::find_seasonality(&data, 2, 30, 0.4).unwrap());
         let stats = artifacts.reuse;
-        assert_eq!((stats.hits, stats.misses, stats.evicted), (1, 1, 0));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 

@@ -18,22 +18,25 @@
 //!   full copy — columns decoded straight from the sealed blocks, each
 //!   value written once into the buffer the state then keeps. Workers then
 //!   never touch a shard lock.
-//! * **Partition-equality reuse** — each round records the absolute
-//!   point-index partitions at the window boundary timestamps. Retained
-//!   points are immutable and their absolute indices are stable, so equal
-//!   partitions (plus an untrimmed range) imply the exact same region
-//!   slices, cadence estimate, and coverage. When the partitions match the
-//!   previous round at the same `now`, the previous outcome — including
-//!   candidate regressions and, with the short-term one, the went-away and
-//!   seasonality filters' verdict on it (pure functions of the candidate) —
-//!   is returned verbatim (*Level A*). When `now`
-//!   advanced but the partitions still match and both scans are
-//!   unsaturated, only time-invariant outcomes (quiet series, data-quality
-//!   faults, empty windows) are reused (*Level B*): a candidate's
-//!   `change_time` depends on the window timestamps, a quiet verdict does
-//!   not.
-//! * **Online detector refutation** (*Level C*) — whenever Levels A/B
-//!   cannot replay an outcome: on a series' first round (every series of
+//! * **Partition-equality reuse** (*Level A*) — each round records the
+//!   absolute point-index partitions at the window boundary timestamps.
+//!   Retained points are immutable and their absolute indices are stable,
+//!   so equal partitions (plus an untrimmed range) imply the exact same
+//!   region slices, cadence estimate, and coverage. When the partitions
+//!   match the previous round at the same `now`, the previous outcome —
+//!   including candidate regressions and, with the short-term one, the
+//!   went-away and seasonality filters' verdict on it (pure functions of
+//!   the candidate) — is returned verbatim. An advanced watermark never
+//!   replays, even under equal partitions: a candidate's `change_time`
+//!   moves with the window timestamps, and the fixed re-run interval moves
+//!   every boundary of a series sampled more often than it re-runs.
+//! * **Fault gates** — wherever Level A does not replay, an empty historic
+//!   or analysis region is answered from the partitions, and the NaN-burst
+//!   gate from the blockwise finite counts a [`RollingStats`] per series
+//!   maintains, instead of rescanning the window. Either produces the store
+//!   path's fault messages byte for byte, before any window is built.
+//! * **Online detector refutation** (*Level C*) — whenever neither Level A
+//!   nor a gate settles the series: on a series' first round (every series of
 //!   a cold scan by a fresh engine), and on rounds where the watermark
 //!   jumped and every partition moved. It is not a boundary-round
 //!   mechanism: it is the O(n) quiet-series pre-filter both detectors lean
@@ -51,10 +54,6 @@
 //!   through to a full scan ([`EngineStats::online_fallbacks`]). Scan
 //!   outcomes are therefore unchanged by construction, which the
 //!   never-changes-an-outcome property tests pin.
-//! * **Incremental data-quality gate** — a [`RollingStats`] per series
-//!   maintains blockwise finite counts, so the NaN-burst gate runs from
-//!   sealed block sums instead of rescanning the window, producing the
-//!   store path's fault messages byte for byte.
 //! * **Scratch reuse** — each state owns the window value buffer for its
 //!   series; steady-state rounds extract windows into it with zero new
 //!   allocations ([`EngineStats::buffer_growth`] counts the exceptions).
@@ -208,17 +207,6 @@ pub enum CachedScan {
 }
 
 impl CachedScan {
-    /// Whether the outcome carries no scan-time-dependent field and can be
-    /// replayed at a *later* `now` under equal partitions. Candidates embed
-    /// `change_time`, which moves with the window timestamps, so only quiet
-    /// and fault outcomes qualify.
-    fn is_time_invariant(&self) -> bool {
-        match self {
-            CachedScan::Ok { short, long, .. } => short.is_none() && long.is_none(),
-            CachedScan::NoData(_) | CachedScan::BadData(_) => true,
-        }
-    }
-
     /// Whether a filter failed on the short-term candidate. Such an outcome
     /// is never recorded: the next round evaluates the filter again.
     fn filter_errored(&self) -> bool {
@@ -233,13 +221,21 @@ impl CachedScan {
 struct RoundArtifacts {
     now: Timestamp,
     parts: Partitions,
-    /// `now >= total_span`: no window boundary saturated at zero, so the
-    /// window spans are constant and partition equality implies coverage
-    /// equality across different `now`s.
-    unsaturated: bool,
     min_finite_fraction: f64,
     min_coverage: f64,
     outcome: CachedScan,
+}
+
+impl RoundArtifacts {
+    fn new(
+        now: Timestamp,
+        parts: Partitions,
+        min_finite_fraction: f64,
+        min_coverage: f64,
+        outcome: CachedScan,
+    ) -> Self {
+        RoundArtifacts { now, parts, min_finite_fraction, min_coverage, outcome }
+    }
 }
 
 /// Opaque receipt from [`StreamingEngine::prepare`], handed back to
@@ -248,7 +244,6 @@ struct RoundArtifacts {
 #[derive(Debug, Clone, Copy)]
 pub struct RoundToken {
     parts: Partitions,
-    unsaturated: bool,
     buffer_capacity: usize,
     min_finite_fraction: f64,
     min_coverage: f64,
@@ -439,9 +434,6 @@ pub struct EngineStats {
     /// Level A reuse: same watermark, equal partitions — previous outcome
     /// replayed verbatim.
     pub reused_full: u64,
-    /// Level B reuse: advanced watermark, equal partitions, time-invariant
-    /// outcome replayed.
-    pub reused_quiet: u64,
     /// Fault outcomes decided from partitions/rolling stats without
     /// building windows.
     pub gated: u64,
@@ -452,8 +444,8 @@ pub struct EngineStats {
     /// to a full scan.
     pub online_fallbacks: u64,
     /// Rounds answered without decoding or rebuilding windows — the sum of
-    /// every [`Prepared::Reuse`] return (Levels A/B, fault gates, Level C):
-    /// partition bookkeeping and block summaries alone settled the series.
+    /// every [`Prepared::Reuse`] return (Level A, fault gates, Level C): the
+    /// series' partitions and its [`RollingStats`] alone settled it.
     pub summary_hits: u64,
     /// Fresh window builds handed to the detectors.
     pub scanned: u64,
@@ -482,7 +474,6 @@ struct Counters {
     resets: AtomicU64,
     removed: AtomicU64,
     reused_full: AtomicU64,
-    reused_quiet: AtomicU64,
     gated: AtomicU64,
     advanced_online: AtomicU64,
     online_fallbacks: AtomicU64,
@@ -690,43 +681,16 @@ impl StreamingEngine {
             return Prepared::Fallback;
         }
         let parts = s.partitions(historic_start, analysis_start, extended_start, now);
-        let unsaturated = now >= self.config.total_span();
-        let reuse = match &s.last {
-            Some(last)
-                if last.parts == parts
-                    && last.min_finite_fraction.to_bits() == min_finite_fraction.to_bits()
-                    && last.min_coverage.to_bits() == min_coverage.to_bits() =>
-            {
-                let full = last.now == now;
-                let quiet = now > last.now
-                    && unsaturated
-                    && last.unsaturated
-                    && last.outcome.is_time_invariant();
-                if full || quiet {
-                    Some((full, last.outcome.clone()))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        if let Some((full, outcome)) = reuse {
-            let counter = if full {
-                &self.counters.reused_full
-            } else {
-                &self.counters.reused_quiet
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+        let replay = s.last.as_ref().filter(|last| {
+            last.now == now
+                && last.parts == parts
+                && last.min_finite_fraction.to_bits() == min_finite_fraction.to_bits()
+                && last.min_coverage.to_bits() == min_coverage.to_bits()
+        });
+        if let Some(last) = replay {
+            self.counters.reused_full.fetch_add(1, Ordering::Relaxed);
             self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
-            s.last = Some(RoundArtifacts {
-                now,
-                parts,
-                unsaturated,
-                min_finite_fraction,
-                min_coverage,
-                outcome: outcome.clone(),
-            });
-            return Prepared::Reuse(outcome);
+            return Prepared::Reuse(last.outcome.clone());
         }
         // Fault gates straight from the partitions and the rolling finite
         // counts — byte-identical messages to the store path, no window
@@ -756,18 +720,17 @@ impl StreamingEngine {
         if let Some(outcome) = gate {
             self.counters.gated.fetch_add(1, Ordering::Relaxed);
             self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
-            s.last = Some(RoundArtifacts {
+            s.last = Some(RoundArtifacts::new(
                 now,
                 parts,
-                unsaturated,
                 min_finite_fraction,
                 min_coverage,
-                outcome: outcome.clone(),
-            });
+                outcome.clone(),
+            ));
             return Prepared::Reuse(outcome);
         }
         // Level C: try to refute both detectors online from the rolling
-        // moments, wherever Levels A/B did not replay — a series' first
+        // moments, wherever Level A did not replay — a series' first
         // round as much as a round whose watermark jumped. A refuted series
         // records its quiet outcome without building windows or running a
         // single detector kernel.
@@ -780,14 +743,13 @@ impl StreamingEngine {
                 };
                 self.counters.advanced_online.fetch_add(1, Ordering::Relaxed);
                 self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
-                s.last = Some(RoundArtifacts {
+                s.last = Some(RoundArtifacts::new(
                     now,
                     parts,
-                    unsaturated,
                     min_finite_fraction,
                     min_coverage,
-                    outcome: outcome.clone(),
-                });
+                    outcome.clone(),
+                ));
                 return Prepared::Reuse(outcome);
             }
             self.counters.online_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -810,7 +772,6 @@ impl StreamingEngine {
             ),
             token: RoundToken {
                 parts,
-                unsaturated,
                 buffer_capacity,
                 min_finite_fraction,
                 min_coverage,
@@ -949,14 +910,13 @@ impl StreamingEngine {
         }
         s.buffer = buffer;
         if let Some(outcome) = outcome.filter(|o| !o.filter_errored()) {
-            s.last = Some(RoundArtifacts {
-                now: self.now,
-                parts: token.parts,
-                unsaturated: token.unsaturated,
-                min_finite_fraction: token.min_finite_fraction,
-                min_coverage: token.min_coverage,
+            s.last = Some(RoundArtifacts::new(
+                self.now,
+                token.parts,
+                token.min_finite_fraction,
+                token.min_coverage,
                 outcome,
-            });
+            ));
         }
     }
 
@@ -981,7 +941,6 @@ impl StreamingEngine {
             resets: c.resets.load(Ordering::Relaxed),
             removed: c.removed.load(Ordering::Relaxed),
             reused_full: c.reused_full.load(Ordering::Relaxed),
-            reused_quiet: c.reused_quiet.load(Ordering::Relaxed),
             gated: c.gated.load(Ordering::Relaxed),
             advanced_online: c.advanced_online.load(Ordering::Relaxed),
             online_fallbacks: c.online_fallbacks.load(Ordering::Relaxed),
@@ -1118,53 +1077,11 @@ mod tests {
     }
 
     #[test]
-    fn level_b_replays_quiet_outcomes_only() {
-        let store = TsdbStore::new();
-        let id = sid("s");
-        fill(&store, &id, 200);
-        let mut engine = StreamingEngine::new(cfg());
-        let ids = [&id];
-        begin_round(&mut engine, &store, &ids, 200);
-        match engine.prepare(&id, 0.5, 0.5) {
-            Prepared::Scan { token, windows } => engine.complete(
-                &id,
-                token,
-                Some(CachedScan::Ok {
-                    short: None,
-                    long: None,
-                    partial: false,
-                }),
-                windows,
-            ),
-            _ => panic!("first round must scan"),
-        }
-        // `now` advances by less than any region span with no new points:
-        // every boundary moves but the partitions over the stored points
-        // move too — so craft the only partition-stable case: advance now
-        // beyond the last point so all regions slide over empty space.
-        // With data up to t=199 and now=201, the extended region boundary
-        // indices shift relative to now=200 only if points straddle them.
-        begin_round(&mut engine, &store, &ids, 201);
-        match engine.prepare(&id, 0.5, 0.5) {
-            Prepared::Reuse(CachedScan::Ok { short, long, .. }) => {
-                assert!(short.is_none() && long.is_none());
-                assert_eq!(engine.stats().reused_quiet, 1);
-            }
-            Prepared::Scan { windows, token } => {
-                // Partition drift is allowed (points at the boundary): the
-                // fresh windows must still match the store path.
-                assert_eq!(windows, store.windows(&id, &cfg(), 201).unwrap());
-                engine.complete(&id, token, None, windows);
-            }
-            _ => panic!("unexpected prepare outcome"),
-        }
-    }
-
-    #[test]
-    fn level_a_replays_short_with_its_verdict_and_level_b_never_a_candidate() {
+    fn level_a_replays_short_with_its_verdict_and_an_advanced_watermark_never_replays() {
         // Points every 10 ticks, so the window boundaries of now = 300,
         // 301 and 302 all fall in the same gaps: equal partitions at an
-        // advancing, unsaturated watermark — exactly Level B's precondition.
+        // advancing watermark, the one shape where a later round could
+        // mistake the previous outcome for its own.
         let store = TsdbStore::new();
         let id = sid("s");
         for t in (0..300u64).step_by(10) {
@@ -1218,25 +1135,18 @@ mod tests {
             _ => panic!("Level A must replay the candidate and its verdict"),
         }
         assert_eq!(engine.stats().reused_full, 1);
-        // Advanced watermark, equal partitions: an outcome that carries a
-        // candidate is not replayed — the series is scanned afresh.
-        begin_round(&mut engine, &store, &ids, 301);
-        let Prepared::Scan { windows, token } = engine.prepare(&id, 0.5, 0.5) else {
-            panic!("Level B must not replay an outcome that carries a candidate");
-        };
-        assert_eq!(engine.stats().reused_quiet, 0);
-        engine.complete(&id, token, Some(quiet()), windows);
-        // The same step from a quiet outcome is Level B.
-        begin_round(&mut engine, &store, &ids, 302);
-        assert!(matches!(
-            engine.prepare(&id, 0.5, 0.5),
-            Prepared::Reuse(CachedScan::Ok {
-                short: None,
-                long: None,
-                ..
-            })
-        ));
-        assert_eq!(engine.stats().reused_quiet, 1);
+        // Advanced watermark, equal partitions: neither the candidate (at
+        // 301) nor a quiet outcome (at 302) is replayed — each step scans
+        // afresh, with the store path's windows.
+        for now in [301, 302] {
+            begin_round(&mut engine, &store, &ids, now);
+            let Prepared::Scan { windows, token } = engine.prepare(&id, 0.5, 0.5) else {
+                panic!("an advanced watermark must not replay (now = {now})");
+            };
+            assert_eq!(windows, store.windows(&id, &cfg(), now).unwrap());
+            engine.complete(&id, token, Some(quiet()), windows);
+        }
+        assert_eq!(engine.stats().reused_full, 1);
     }
 
     #[test]

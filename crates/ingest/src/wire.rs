@@ -26,7 +26,6 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use fbd_tsdb::{MetricKind, SeriesId, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -113,7 +112,7 @@ fn metric_from_code(code: u8) -> Result<MetricKind, WireError> {
 }
 
 /// One sample inside a batch, referencing the batch dictionary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WirePoint {
     /// Index into [`SampleBatch::series`].
     pub series: u16,
@@ -124,7 +123,7 @@ pub struct WirePoint {
 }
 
 /// A decoded (or under-construction) batch of samples from one tenant.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleBatch {
     /// Originating tenant.
     pub tenant: String,
@@ -133,7 +132,6 @@ pub struct SampleBatch {
     pub collected_at: Timestamp,
     series: Vec<SeriesId>,
     points: Vec<WirePoint>,
-    #[serde(skip)]
     index: BTreeMap<SeriesId, u16>,
 }
 

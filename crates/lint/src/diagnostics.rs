@@ -35,8 +35,8 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Renders diagnostics as a JSON array (stable field order, sorted input
-/// expected). Hand-rolled because the vendored serde shim has no JSON
-/// backend and the schema is four flat fields.
+/// expected). Hand-rolled: the workspace has no JSON library and the
+/// schema is four flat fields.
 pub fn to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {

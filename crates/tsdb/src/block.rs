@@ -32,14 +32,11 @@
 //! window field so a fully significant 64-bit XOR is representable without
 //! a special case.
 //!
-//! Every block additionally carries a [`BlockSummary`] computed while the
-//! block is built — point count, first/last timestamp, min/max/sum/sum-of-
-//! squares over the finite values (accumulated in append order, so the
-//! floating-point results are bit-stable against a full decode), non-finite
-//! count, and the extreme consecutive-timestamp gaps. Readers use the
-//! summary to answer coverage and moment queries without touching the bit
-//! stream; the bytes it occupies are charged to the store's resident-byte
-//! accounting ([`SUMMARY_BYTES`]).
+//! Every block additionally carries a small header beside the payload —
+//! point count and first/last timestamp, recorded while the block is built
+//! — so coverage and length queries never touch the bit stream; the bytes
+//! it occupies are charged to the store's resident-byte accounting
+//! ([`SUMMARY_BYTES`]).
 //!
 //! Blocks are built in memory and never deserialized from untrusted
 //! input — the on-disk snapshot format remains the text format in
@@ -257,89 +254,34 @@ impl<'a> WordReader<'a> {
     }
 }
 
-/// Per-block statistics computed while the block is built, stored beside
-/// the compressed payload. Moment fields are accumulated in append order
-/// over the **finite** values, so they are bit-identical to what a full
-/// decode followed by the same left-to-right accumulation produces — the
-/// property the seal-time-summary proptests pin.
+/// A block's header, recorded while the block is built and stored beside
+/// the compressed payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockSummary {
+struct BlockSummary {
     /// Number of points in the block.
-    pub count: u32,
-    /// Number of non-finite values (NaN and ±∞).
-    pub nan_count: u32,
+    count: u32,
     /// Timestamp of the first point (0 for an empty block).
-    pub first_ts: Timestamp,
+    first_ts: Timestamp,
     /// Timestamp of the last point (0 for an empty block).
-    pub last_ts: Timestamp,
-    /// Smallest positive consecutive-timestamp delta (0 when fewer than
-    /// two distinct timestamps): the block's cadence lower bound.
-    pub min_gap: u64,
-    /// Largest consecutive-timestamp delta (wrapping; 0 for < 2 points).
-    pub max_gap: u64,
-    /// Smallest finite value (+∞ when none).
-    pub min: f64,
-    /// Largest finite value (−∞ when none).
-    pub max: f64,
-    /// Sum of the finite values, accumulated in append order.
-    pub sum: f64,
-    /// Sum of squares of the finite values, accumulated in append order.
-    pub sum_sq: f64,
+    last_ts: Timestamp,
 }
 
-/// Resident bytes one [`BlockSummary`] occupies beside its block; charged
+/// Resident bytes one block header occupies beside its payload; charged
 /// into `resident_bytes` by the series/shard accounting.
 pub const SUMMARY_BYTES: usize = std::mem::size_of::<BlockSummary>();
 
-impl Default for BlockSummary {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
 impl BlockSummary {
-    /// The summary of a block with no points.
-    pub const fn empty() -> Self {
-        BlockSummary {
-            count: 0,
-            nan_count: 0,
-            first_ts: 0,
-            last_ts: 0,
-            min_gap: 0,
-            max_gap: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            sum_sq: 0.0,
-        }
+    /// The header of a block with no points.
+    const fn empty() -> Self {
+        BlockSummary { count: 0, first_ts: 0, last_ts: 0 }
     }
 
-    /// Number of finite values in the block.
-    pub fn finite_count(&self) -> u32 {
-        self.count - self.nan_count
-    }
-
-    /// Folds one point into the summary; `record` must be called in
-    /// append order for the moment fields to stay decode-stable.
+    /// Folds one point into the header, in append order.
     fn record(&mut self, point: DataPoint) {
         if self.count == 0 {
             self.first_ts = point.timestamp;
-        } else {
-            let gap = point.timestamp.wrapping_sub(self.last_ts);
-            self.max_gap = self.max_gap.max(gap);
-            if gap > 0 && (self.min_gap == 0 || gap < self.min_gap) {
-                self.min_gap = gap;
-            }
         }
         self.last_ts = point.timestamp;
-        if point.value.is_finite() {
-            self.min = self.min.min(point.value);
-            self.max = self.max.max(point.value);
-            self.sum += point.value;
-            self.sum_sq += point.value * point.value;
-        } else {
-            self.nan_count += 1;
-        }
         self.count += 1;
     }
 }
@@ -506,11 +448,6 @@ impl SealedBlock {
     /// Timestamp of the last point (0 for an empty block).
     pub fn last_timestamp(&self) -> Timestamp {
         self.summary.last_ts
-    }
-
-    /// The seal-time statistics stored beside the payload.
-    pub fn summary(&self) -> &BlockSummary {
-        &self.summary
     }
 
     /// Compressed payload size in bytes (excluding [`SUMMARY_BYTES`]).
@@ -901,7 +838,7 @@ mod tests {
         assert!(block.is_empty());
         assert_eq!(block.iter().count(), 0);
         assert_eq!(block.byte_len(), 0);
-        assert_eq!(*block.summary(), BlockSummary::empty());
+        assert_eq!(block.summary, BlockSummary::empty());
     }
 
     #[test]
@@ -1054,36 +991,15 @@ mod tests {
             points.push(dp(ts, *v));
         }
         let block = SealedBlock::from_points(&points);
-        let s = block.summary();
-        // Recompute the summary from a full decode, in decode order.
+        // Recompute the header from a full decode, in decode order.
         let mut oracle = BlockSummary::empty();
         for p in block.iter() {
             oracle.record(p);
         }
-        assert_eq!(*s, oracle);
-        assert_eq!(s.count, 7);
-        assert_eq!(s.nan_count, 2);
-        assert_eq!(s.finite_count(), 5);
-        assert_eq!(s.first_ts, 100);
-        assert_eq!(s.last_ts, 100 + 60 + 60 + 1 + 4000 + 60);
-        assert_eq!(s.min_gap, 1);
-        assert_eq!(s.max_gap, 4000);
-        assert_eq!(s.min, -2.0);
-        assert_eq!(s.max, 7.25);
-        let direct_sum: f64 = 1.5 + -2.0 + 7.25 + 0.5 + 0.5;
-        assert_eq!(s.sum.to_bits(), direct_sum.to_bits());
-    }
-
-    #[test]
-    fn summary_of_all_nan_block_keeps_sentinels() {
-        let points: Vec<DataPoint> = (0..4).map(|i| dp(i * 60, f64::NAN)).collect();
-        let block = SealedBlock::from_points(&points);
-        let s = block.summary();
-        assert_eq!(s.nan_count, 4);
-        assert_eq!(s.finite_count(), 0);
-        assert!(s.min.is_infinite() && s.min > 0.0);
-        assert!(s.max.is_infinite() && s.max < 0.0);
-        assert_eq!(s.sum, 0.0);
+        assert_eq!(block.summary, oracle);
+        assert_eq!(block.count(), 7);
+        assert_eq!(block.first_timestamp(), 100);
+        assert_eq!(block.last_timestamp(), 100 + 60 + 60 + 1 + 4000 + 60);
     }
 
     #[test]
@@ -1109,7 +1025,7 @@ mod tests {
 
     #[test]
     fn summary_bytes_is_nonzero_and_stable() {
-        assert!(SUMMARY_BYTES >= 56);
+        assert_eq!(SUMMARY_BYTES, 24);
         assert_eq!(SUMMARY_BYTES, std::mem::size_of::<BlockSummary>());
     }
 }

@@ -18,7 +18,7 @@ use std::borrow::Cow;
 use crate::scratch::ScratchPoints;
 use fbd_stats::streaming::retained_capacity;
 
-use crate::block::{BlockSummary, SealedBlock, SUMMARY_BYTES};
+use crate::block::{SealedBlock, SUMMARY_BYTES};
 use crate::columns::{SeriesColumns, TimeRuns};
 use crate::types::{DataPoint, Timestamp};
 use crate::window::points_in;
@@ -412,7 +412,7 @@ impl TimeSeries {
     /// Bytes resident for this series under the accounting model used by
     /// shard budgets: 16 bytes per uncompressed head point, the compressed
     /// payload of every sealed block, plus [`SUMMARY_BYTES`] for the
-    /// seal-time summary stored beside each block. Container slack (vector
+    /// header stored beside each block. Container slack (vector
     /// capacity beyond length, block bookkeeping) is deliberately excluded
     /// so the number is stable across reallocation strategies.
     pub fn resident_bytes(&self) -> usize {
@@ -427,7 +427,7 @@ impl TimeSeries {
     }
 
     /// The sealed blocks, oldest first. Read-only: callers may decode or
-    /// inspect summaries but never mutate sealed history.
+    /// inspect headers but never mutate sealed history.
     pub fn sealed_blocks(&self) -> &[SealedBlock] {
         &self.sealed
     }
@@ -441,19 +441,13 @@ impl TimeSeries {
         self.sealed[idx] = block;
     }
 
-    /// Seal-time summaries of the sealed blocks, oldest first — the
-    /// zero-decode view of compressed history.
-    pub fn summaries(&self) -> impl ExactSizeIterator<Item = &BlockSummary> {
-        self.sealed.iter().map(SealedBlock::summary)
-    }
-
     /// The uncompressed head points (newest data, not yet sealed).
     pub fn head(&self) -> &[DataPoint] {
         &self.head
     }
 
     /// Number of sealed blocks a `[start, end)` range read decodes,
-    /// answered from summaries alone.
+    /// answered from block headers alone.
     pub fn overlapping_block_count(&self, start: Timestamp, end: Timestamp) -> u64 {
         self.range_blocks(start, end).len() as u64
     }
@@ -852,7 +846,7 @@ mod tests {
                 + s.sealed_bytes()
                 + s.sealed_block_count() * SUMMARY_BYTES
         );
-        // Evicting a block frees exactly its payload plus its summary.
+        // Evicting a block frees exactly its payload plus its header.
         let front_payload = s.sealed_blocks()[0].byte_len();
         let before = s.resident_bytes();
         let (_, freed) = s.evict_front_block().unwrap();
@@ -866,14 +860,12 @@ mod tests {
         for i in 0..20u64 {
             s.append(i * 60, i as f64).unwrap();
         }
-        let sums: Vec<_> = s.summaries().collect();
-        assert_eq!(sums.len(), 2);
-        assert_eq!(sums[0].count, 8);
-        assert_eq!(sums[0].first_ts, 0);
-        assert_eq!(sums[0].last_ts, 7 * 60);
-        assert_eq!(sums[1].first_ts, 8 * 60);
-        assert_eq!(sums[0].min_gap, 60);
-        assert_eq!(sums[0].max_gap, 60);
+        let blocks = s.sealed_blocks();
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(blocks[0].count(), 8);
+        assert_eq!(blocks[0].first_timestamp(), 0);
+        assert_eq!(blocks[0].last_timestamp(), 7 * 60);
+        assert_eq!(blocks[1].first_timestamp(), 8 * 60);
         assert_eq!(s.head().len(), 4);
         assert_eq!(s.head()[0].timestamp, 16 * 60);
     }

@@ -136,7 +136,7 @@ pub struct StoreStats {
     /// Per-shard breakdown, indexed by shard number.
     pub shards: Vec<ShardStats>,
     /// Sealed blocks decoded by window, snapshot and delta reads, counted
-    /// from summaries without touching the payloads.
+    /// from block headers without touching the payloads.
     pub direct_blocks_decoded: u64,
 }
 
@@ -524,7 +524,7 @@ impl TsdbStore {
     }
 
     /// Tallies sealed blocks a read is about to decode. Callers count them
-    /// from summaries, so the tally itself never decodes.
+    /// from block headers, so the tally itself never decodes.
     fn tally_decoded(&self, blocks: u64) {
         self.direct_blocks_decoded.fetch_add(blocks, Ordering::Relaxed);
     }

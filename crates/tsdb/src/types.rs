@@ -1,13 +1,12 @@
 //! Core identifiers and value types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Seconds since an arbitrary epoch (the simulator's clock).
 pub type Timestamp = u64;
 
 /// One sample of a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataPoint {
     /// Sample time.
     pub timestamp: Timestamp,
@@ -27,7 +26,7 @@ impl DataPoint {
 /// Matches the paper's metric inventory (§3): CPU, memory, throughput,
 /// latency, error rate, coredump count, and application-defined metrics.
 /// `GCpu` is the normalized subroutine-level CPU metric of §2/§4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MetricKind {
     /// Normalized subroutine CPU (fraction of stack-trace samples).
     GCpu,
@@ -77,7 +76,7 @@ impl fmt::Display for MetricKind {
 /// The `target` distinguishes what within the service is measured: a
 /// subroutine name for gCPU series, an endpoint for endpoint-level series,
 /// or an empty string for service-wide metrics.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeriesId {
     /// Owning service (e.g. `"FrontFaaS"`).
     pub service: String,

@@ -249,8 +249,8 @@ impl WindowedData {
 fn estimate_cadence(points: &[DataPoint]) -> Option<u64> {
     points
         .windows(2)
-        // Wrapping, like the block summaries' gaps: only a corrupt block
-        // decodes to out-of-order timestamps, and it must not overflow.
+        // Wrapping: only a corrupt block decodes to out-of-order
+        // timestamps, and it must not overflow.
         .map(|w| w[1].timestamp.wrapping_sub(w[0].timestamp))
         .filter(|&gap| gap > 0)
         .min()

@@ -145,7 +145,7 @@ fn multi_round_fingerprint(streaming: bool, threads: usize) -> (String, u64, Str
     }
     let reused = pipeline
         .streaming_stats()
-        .map(|s| s.reused_full + s.reused_quiet)
+        .map(|s| s.reused_full)
         .unwrap_or(0);
     let telemetry = format!("{:?} {:?}", pipeline.went_away_stats(), pipeline.cache_stats());
     (out, reused, telemetry)
