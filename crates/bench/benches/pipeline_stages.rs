@@ -286,7 +286,7 @@ fn bench_stage_kernels(c: &mut Criterion) {
     // timestamp run per series); `irregular` jitters every gap, the run
     // list's worst case (one run per point).
     for (name, jitter) in [("regular", 0u64), ("irregular", 7)] {
-        let store = TsdbStore::compressed();
+        let store = TsdbStore::new();
         let ids: Vec<SeriesId> = (0..64)
             .map(|i| SeriesId::new("svc", MetricKind::GCpu, format!("s{i}")))
             .collect();

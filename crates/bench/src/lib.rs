@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 
 use fbd_fleet::scenarios::{LabelledSeries, SeriesLabel};
-use fbd_tsdb::{MetricKind, SeriesId, StoreConfig, TimeSeries, TsdbStore, WindowConfig};
+use fbd_tsdb::{MetricKind, SeriesId, TimeSeries, TsdbStore, WindowConfig};
 use fbdetect_core::{DetectorConfig, Threshold};
 
 /// Sample cadence used by the scaled-down experiments (seconds).
@@ -32,17 +32,16 @@ pub fn suite_config(len: usize, threshold: Threshold) -> DetectorConfig {
     DetectorConfig::new("bench", suite_windows(len), threshold)
 }
 
-/// Loads a labelled suite into a fresh Gorilla-compressed store (the
-/// storage policy every perfbench workload runs on; scan results are
-/// byte-identical to a plain store's). Series are named `s<index>` under
-/// the given service, with the given metric kind. Returns the ids in
-/// suite order.
+/// Loads a labelled suite into a fresh default store, whose series seal
+/// into Gorilla-compressed blocks. Series are named `s<index>` under the
+/// given service, with the given metric kind. Returns the ids in suite
+/// order.
 pub fn load_suite(
     suite: &[LabelledSeries],
     service: &str,
     metric: MetricKind,
 ) -> (TsdbStore, Vec<SeriesId>) {
-    let store = TsdbStore::with_config(StoreConfig::compressed());
+    let store = TsdbStore::new();
     let mut ids = Vec::with_capacity(suite.len());
     for (i, s) in suite.iter().enumerate() {
         let id = SeriesId::new(service, metric, format!("s{i:05}"));
@@ -247,22 +246,17 @@ mod tests {
         };
         let suite = labelled_suite(&cfg, 5).unwrap();
         let (packed, ids) = load_suite(&suite, "svc", MetricKind::GCpu);
-        let plain = TsdbStore::with_config(StoreConfig::default());
+        // The model is the suite itself: value `i` sampled at `i * CADENCE`.
         for (id, s) in ids.iter().zip(&suite) {
-            plain.insert_series(id.clone(), TimeSeries::from_values(0, CADENCE, &s.values));
-        }
-        for id in &ids {
-            let a = plain.get(id).unwrap();
             let b = packed.get(id).unwrap();
-            assert_eq!(a.len(), b.len(), "{id:?}");
-            for (pa, pb) in a.iter().zip(b.iter()) {
-                assert_eq!(pa.timestamp, pb.timestamp, "{id:?}");
-                assert_eq!(pa.value.to_bits(), pb.value.to_bits(), "{id:?}");
+            assert_eq!(b.len(), s.values.len(), "{id:?}");
+            for ((i, v), pb) in s.values.iter().enumerate().zip(b.iter()) {
+                assert_eq!(pb.timestamp, i as u64 * CADENCE, "{id:?}");
+                assert_eq!(pb.value.to_bits(), v.to_bits(), "{id:?}");
             }
         }
-        let (ps, cs) = (plain.stats(), packed.stats());
-        assert_eq!(ps.points(), cs.points());
-        assert!((ps.bytes_per_point() - 16.0).abs() < 1e-9);
+        let cs = packed.stats();
+        assert_eq!(cs.points(), suite.iter().map(|s| s.values.len()).sum::<usize>());
         assert!(cs.sealed_blocks() > 0);
         assert!(
             cs.bytes_per_point() < 12.0,

@@ -9,10 +9,10 @@
 //!
 //! Series scanning is embarrassingly parallel; the per-series steps —
 //! both detectors and the went-away and seasonality filters, which are pure
-//! functions of one candidate — fan out across threads with
-//! `crossbeam::scope`, one store shard at a time
-//! ([`Pipeline::detect_sharded`]), matching the paper's "scanning different
-//! time series in parallel".
+//! functions of one candidate — fan out across workers one store shard at
+//! a time ([`Pipeline::detect_sharded`]), matching the paper's "scanning
+//! different time series in parallel". The calling thread is worker 0;
+//! workers 1..N−1 run the same loop under `std::thread::scope`.
 //!
 //! The scan acts as a fault-tolerant *supervisor*: each per-series
 //! detection task runs under `catch_unwind`, failing series are parked in a
@@ -207,9 +207,7 @@ impl Pipeline {
             ),
             budget: ScanBudget::default(),
             chaos_hook: None,
-            streaming: Some(
-                StreamingEngine::new(config.windows).with_online_policy(Self::online_policy(&config)),
-            ),
+            streaming: Some(Self::engine(&config)),
             tally: Tally::default(),
             threads: 4,
             config,
@@ -244,26 +242,23 @@ impl Pipeline {
     pub fn set_streaming(&mut self, enabled: bool) {
         if enabled {
             if self.streaming.is_none() {
-                self.streaming = Some(
-                    StreamingEngine::new(self.config.windows)
-                        .with_online_policy(Self::online_policy(&self.config)),
-                );
+                self.streaming = Some(Self::engine(&self.config));
             }
         } else {
             self.streaming = None;
         }
     }
 
-    /// The Level C online-refuter parameters mirroring the detectors this
-    /// pipeline actually runs, so online refutations are sound against them
-    /// by construction.
-    fn online_policy(config: &DetectorConfig) -> OnlinePolicy {
-        OnlinePolicy {
+    /// A cold streaming engine whose Level C online refuter mirrors the
+    /// detectors this pipeline actually runs, so online refutations are
+    /// sound against them by construction.
+    fn engine(config: &DetectorConfig) -> StreamingEngine {
+        StreamingEngine::new(config.windows).with_online_policy(OnlinePolicy {
             significance: config.significance,
             threshold: config.threshold,
             long_term_enabled: config.long_term_enabled,
             max_period: config.max_seasonal_period,
-        }
+        })
     }
 
     /// Round-over-round reuse counters of the streaming engine, when
@@ -802,6 +797,12 @@ impl Pipeline {
     /// supervised: a panicking or erroring detector loses that series
     /// only, never the scan.
     ///
+    /// The calling thread is worker 0 and runs under `catch_unwind`;
+    /// workers 1..N−1 run the same closure under `std::thread::scope`, so
+    /// a one-thread scan spawns nothing. A worker whose supervisor loop
+    /// itself panics, spawned or not, fails the scan with
+    /// [`DetectError::Panic`].
+    ///
     /// Eligible series are partitioned by their store shard
     /// ([`fbd_tsdb::TsdbStore::shard_of`], which the engine's shards
     /// mirror) and workers steal whole shards from an atomic cursor, so
@@ -841,46 +842,42 @@ impl Pipeline {
             .collect();
         let threads = self.threads.clamp(1, 64).min(work.len().max(1));
         let next = AtomicUsize::new(0);
-        let joined = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let work = &work;
-                handles.push(scope.spawn(move |_| {
-                    let mut part = DetectBatch::default();
-                    let mut tally = Tally::default();
-                    loop {
-                        let w = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((shard_idx, ids)) = work.get(w) else { break };
-                        let t = Instant::now();
-                        if let Some(engine) = self.streaming.as_ref() {
-                            engine.ingest_shard(store, *shard_idx, ids, now);
-                            tally.stages.ingest += t.elapsed().as_nanos() as u64;
-                            for &id in ids {
-                                self.supervise(&mut part, id, || {
-                                    self.detect_one_streaming(store, engine, id, now, &mut tally)
-                                });
-                            }
-                        } else {
-                            let windows = store.snapshot_windows(ids, &self.config.windows, now);
-                            tally.stages.windowing += t.elapsed().as_nanos() as u64;
-                            for (&id, windows) in ids.iter().zip(windows) {
-                                self.supervise(&mut part, id, || {
-                                    self.detect_windowed(id, windows, now, &mut tally)
-                                });
-                            }
-                        }
+        let worker = || {
+            let mut part = DetectBatch::default();
+            let mut tally = Tally::default();
+            loop {
+                let w = next.fetch_add(1, Ordering::Relaxed);
+                let Some((shard_idx, ids)) = work.get(w) else { break };
+                let t = Instant::now();
+                if let Some(engine) = self.streaming.as_ref() {
+                    engine.ingest_shard(store, *shard_idx, ids, now);
+                    tally.stages.ingest += t.elapsed().as_nanos() as u64;
+                    for &id in ids {
+                        self.supervise(&mut part, id, || {
+                            self.detect_one_streaming(store, engine, id, now, &mut tally)
+                        });
                     }
-                    part.tally = tally;
-                    part
-                }));
+                } else {
+                    let windows = store.snapshot_windows(ids, &self.config.windows, now);
+                    tally.stages.windowing += t.elapsed().as_nanos() as u64;
+                    for (&id, windows) in ids.iter().zip(windows) {
+                        self.supervise(&mut part, id, || {
+                            self.detect_windowed(id, windows, now, &mut tally)
+                        });
+                    }
+                }
             }
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<_>>()
-        })
-        .map_err(|_| DetectError::Panic("detection thread pool panicked".to_string()))?;
+            part.tally = tally;
+            part
+        };
+        // Every handle is joined before the scope ends, so the scope itself
+        // never panics: a dying worker is an `Err` in `joined`.
+        let joined = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut joined = vec![catch_unwind(AssertUnwindSafe(worker))];
+            joined.extend(helpers.into_iter().map(|h| h.join()));
+            joined
+        });
         Self::join_batches(joined)
     }
 
@@ -1151,6 +1148,35 @@ mod tests {
             .unwrap();
         assert_eq!(out3.health.series_scanned, 1);
         assert!(p.quarantine().entry(&poison).is_none());
+    }
+
+    #[test]
+    fn one_thread_scans_every_series_on_the_calling_thread() {
+        let store = TsdbStore::new();
+        let ids: Vec<SeriesId> = (0..24)
+            .map(|i| SeriesId::new("svc", MetricKind::GCpu, format!("s{i}")))
+            .collect();
+        for id in &ids {
+            fill_series(&store, id, 450, |t| 0.01 + noise(t, 0.001));
+        }
+        let shards: BTreeSet<usize> = ids.iter().map(TsdbStore::shard_of).collect();
+        assert!(shards.len() > 1, "the series must span several shards");
+        for streaming in [true, false] {
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut p = Pipeline::new(test_config(0.005)).unwrap();
+            p.threads = 1;
+            p.set_streaming(streaming);
+            let hook_seen = Arc::clone(&seen);
+            p.set_chaos_hook(Arc::new(move |_: &SeriesId| {
+                hook_seen.lock().unwrap().push(std::thread::current().id());
+            }));
+            let out = p.scan(&store, &ids, 4_500, &ScanContext::default()).unwrap();
+            assert_eq!(out.health.series_scanned, ids.len());
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), ids.len());
+            let me = std::thread::current().id();
+            assert!(seen.iter().all(|&t| t == me), "streaming {streaming}: a worker was spawned");
+        }
     }
 
     #[test]

@@ -1377,7 +1377,7 @@ mod tests {
 
     #[test]
     fn resident_counters_follow_trims_and_resets() {
-        let store = TsdbStore::compressed();
+        let store = TsdbStore::new();
         let id = sid("s");
         fill_flat(&store, &id, 2_000);
         let mut engine = StreamingEngine::new(cfg());
@@ -1424,7 +1424,7 @@ mod tests {
             fn columnar_state_matches_a_point_vector(
                 ops in prop::collection::vec((0u8..10, 1usize..70, any::<u64>()), 1..14),
                 throughput in any::<bool>(),
-                seal_limit in 0u32..24,
+                seal_limit in 1u32..24,
                 top in any::<bool>(),
             ) {
                 // Random append / trim / reset sequences over NaNs, both

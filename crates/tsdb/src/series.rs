@@ -3,10 +3,9 @@
 //! Storage is a run of sealed Gorilla-compressed blocks
 //! ([`crate::block::SealedBlock`]) followed by a small mutable head of
 //! uncompressed points. Appends always land in the head; when the head
-//! reaches `seal_limit` points it is compressed into one immutable block.
-//! A `seal_limit` of 0 disables compression entirely — the series is then
-//! a plain `Vec<DataPoint>`, which is the default so existing callers and
-//! tests see the exact pre-compression representation.
+//! reaches `seal_limit` points (by default
+//! [`StoreConfig::DEFAULT_SEAL_LIMIT`]) it is compressed into one immutable
+//! block. This is the only layout: a short series is simply all head.
 //!
 //! Sealing is a *representation* change, not a data change: it bumps
 //! neither counter, so the streaming engine's append-stride proofs hold
@@ -20,6 +19,7 @@ use fbd_stats::streaming::retained_capacity;
 
 use crate::block::{SealedBlock, SUMMARY_BYTES};
 use crate::columns::{SeriesColumns, TimeRuns};
+use crate::store::StoreConfig;
 use crate::types::{DataPoint, Timestamp};
 use crate::window::points_in;
 use crate::{Result, TsdbError};
@@ -33,7 +33,7 @@ use crate::{Result, TsdbError};
 /// points were pushed onto the tail — the basis of the streaming scan
 /// engine's O(k) delta snapshots. Sealing head points into a compressed
 /// block advances neither counter.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     sealed: Vec<SealedBlock>,
     /// Total points across `sealed` (cached so `len` is O(1)).
@@ -41,7 +41,7 @@ pub struct TimeSeries {
     /// Total compressed payload bytes across `sealed`.
     sealed_bytes: usize,
     head: Vec<DataPoint>,
-    /// Head size that triggers sealing; 0 = never seal (uncompressed).
+    /// Head size that triggers sealing; at least 1.
     seal_limit: u32,
     version: u64,
     appended: u64,
@@ -56,16 +56,31 @@ impl PartialEq for TimeSeries {
     }
 }
 
+impl Default for TimeSeries {
+    fn default() -> Self {
+        TimeSeries::with_seal_limit(StoreConfig::DEFAULT_SEAL_LIMIT)
+    }
+}
+
 impl TimeSeries {
-    /// Creates an empty, uncompressed series (`seal_limit` 0).
+    /// Creates an empty series that seals every
+    /// [`StoreConfig::DEFAULT_SEAL_LIMIT`] points.
     pub fn new() -> Self {
         TimeSeries::default()
     }
 
     /// Creates an empty series that seals its head into a compressed block
-    /// every `seal_limit` points. 0 disables sealing.
+    /// every `seal_limit` points (a limit of 0 counts as 1).
     pub fn with_seal_limit(seal_limit: u32) -> Self {
-        TimeSeries { seal_limit, ..TimeSeries::default() }
+        TimeSeries {
+            sealed: Vec::new(),
+            sealed_points: 0,
+            sealed_bytes: 0,
+            head: Vec::new(),
+            seal_limit: seal_limit.max(1),
+            version: 0,
+            appended: 0,
+        }
     }
 
     /// Builds a series from `(timestamp, value)` pairs; the pairs must be in
@@ -81,21 +96,16 @@ impl TimeSeries {
     /// Builds a series from values sampled at a fixed interval starting at
     /// `start`.
     pub fn from_values(start: Timestamp, interval: Timestamp, values: &[f64]) -> Self {
-        let points: Vec<DataPoint> = values
+        let mut s = TimeSeries::new();
+        s.head = values
             .iter()
             .enumerate()
             .map(|(i, &v)| DataPoint::new(start + i as Timestamp * interval, v))
             .collect();
-        let n = points.len() as u64;
-        TimeSeries {
-            sealed: Vec::new(),
-            sealed_points: 0,
-            sealed_bytes: 0,
-            head: points,
-            seal_limit: 0,
-            version: n,
-            appended: n,
-        }
+        s.version = values.len() as u64;
+        s.appended = s.version;
+        s.seal_ready();
+        s
     }
 
     /// Appends a sample; timestamps must be non-decreasing.
@@ -118,27 +128,25 @@ impl TimeSeries {
     /// Compresses every full `seal_limit`-sized run of head points into a
     /// sealed block. Representation-only: counters are untouched.
     fn seal_ready(&mut self) {
-        if self.seal_limit == 0 {
-            return;
-        }
         let limit = self.seal_limit as usize;
-        while self.head.len() >= limit {
-            let block = SealedBlock::from_points(&self.head[..limit]);
+        let full = self.head.len() / limit * limit;
+        for run in self.head[..full].chunks_exact(limit) {
+            let block = SealedBlock::from_points(run);
             self.sealed_points += block.count() as usize;
             self.sealed_bytes += block.byte_len();
             self.sealed.push(block);
-            // On the append path the head is exactly `limit` long, so this
-            // clears it while keeping its capacity for the next fill.
-            self.head.drain(..limit);
         }
+        // On the append path the head is exactly `limit` long, so this
+        // clears it while keeping its capacity for the next fill.
+        self.head.drain(..full);
     }
 
-    /// Changes the seal limit, re-packing existing points to match: with a
-    /// non-zero limit all full runs are compressed, with 0 everything is
-    /// decoded back into the uncompressed head. Representation-only — the
-    /// stored points and both counters are unchanged.
+    /// Changes the seal limit (a limit of 0 counts as 1), re-packing the
+    /// stored points into blocks of the new size. Representation-only —
+    /// the stored points and both counters are unchanged.
     pub fn set_seal_limit(&mut self, seal_limit: u32) {
-        if seal_limit == self.seal_limit && (seal_limit != 0 || self.sealed.is_empty()) {
+        let seal_limit = seal_limit.max(1);
+        if seal_limit == self.seal_limit {
             return;
         }
         if !self.sealed.is_empty() {
@@ -156,7 +164,7 @@ impl TimeSeries {
         self.seal_ready();
     }
 
-    /// The configured seal limit (0 = uncompressed).
+    /// The configured seal limit.
     pub fn seal_limit(&self) -> u32 {
         self.seal_limit
     }
@@ -196,33 +204,20 @@ impl TimeSeries {
         self.sealed_points == 0 && self.head.is_empty()
     }
 
-    /// All points in timestamp order. Borrows the head directly when no
-    /// sealed blocks exist (the uncompressed fast path); otherwise decodes
-    /// into an owned vector — prefer [`TimeSeries::iter`],
-    /// [`TimeSeries::range_into`], or [`TimeSeries::tail_to_vec`] on hot
-    /// paths.
+    /// All points in timestamp order. Borrows the head directly while no
+    /// block is sealed; otherwise decodes into an owned vector — prefer
+    /// [`TimeSeries::iter`], [`TimeSeries::range_into`], or
+    /// [`TimeSeries::tail_to_vec`] on hot paths.
     pub fn points(&self) -> Cow<'_, [DataPoint]> {
-        match self.as_uncompressed() {
-            Some(head) => Cow::Borrowed(head),
-            None => {
-                let mut out = Vec::with_capacity(self.len());
-                for block in &self.sealed {
-                    block.decode_into(&mut out);
-                }
-                out.extend_from_slice(&self.head);
-                Cow::Owned(out)
-            }
-        }
-    }
-
-    /// The full point slice, available without decoding only while the
-    /// series holds no sealed blocks.
-    pub fn as_uncompressed(&self) -> Option<&[DataPoint]> {
         if self.sealed.is_empty() {
-            Some(&self.head)
-        } else {
-            None
+            return Cow::Borrowed(&self.head);
         }
+        let mut out = Vec::with_capacity(self.len());
+        for block in &self.sealed {
+            block.decode_into(&mut out);
+        }
+        out.extend_from_slice(&self.head);
+        Cow::Owned(out)
     }
 
     /// Iterates every point in timestamp order, decoding sealed blocks on
@@ -683,33 +678,34 @@ mod tests {
 
     // --- compressed-representation tests ---
 
-    /// Builds the same data twice — uncompressed and with the given seal
-    /// limit — and asserts every read path agrees bit-for-bit.
+    /// Appends `n` points under the given seal limit and asserts every read
+    /// path agrees bit-for-bit with the plain point vector appended.
     fn assert_repr_parity(n: u64, seal_limit: u32) {
-        let mut plain = TimeSeries::new();
+        let model: Vec<DataPoint> =
+            (0..n).map(|i| DataPoint::new(i * 60, (i as f64 * 0.1).sin() + 1.0)).collect();
         let mut packed = TimeSeries::with_seal_limit(seal_limit);
-        for i in 0..n {
-            let v = (i as f64 * 0.1).sin() + 1.0;
-            plain.append(i * 60, v).unwrap();
-            packed.append(i * 60, v).unwrap();
+        for p in &model {
+            packed.append(p.timestamp, p.value).unwrap();
         }
-        assert_eq!(plain, packed);
-        assert_eq!(plain.len(), packed.len());
+        assert_eq!(packed.len(), model.len());
         assert_eq!(
-            (plain.version(), plain.appended()),
             (packed.version(), packed.appended()),
+            (n, n),
             "sealing must not touch the counters"
         );
-        assert_eq!(plain.first_timestamp(), packed.first_timestamp());
-        assert_eq!(plain.last_timestamp(), packed.last_timestamp());
-        assert_eq!(plain.points(), packed.points());
-        assert_eq!(plain.values(), packed.values());
+        assert_eq!(packed.first_timestamp(), model.first().map(|p| p.timestamp));
+        assert_eq!(packed.last_timestamp(), model.last().map(|p| p.timestamp));
+        assert_eq!(&*packed.points(), &model[..]);
+        assert!(packed.iter().eq(model.iter().copied()));
+        assert_eq!(packed.values(), model.iter().map(|p| p.value).collect::<Vec<_>>());
         let (lo, hi) = (n * 60 / 4, n * 60 * 3 / 4);
         if lo < hi {
-            assert_eq!(plain.range_to_vec(lo, hi), packed.range_to_vec(lo, hi));
+            let want: Vec<DataPoint> =
+                model.iter().filter(|p| p.timestamp >= lo && p.timestamp < hi).copied().collect();
+            assert_eq!(packed.range_to_vec(lo, hi), want);
         }
         for k in [0, 1, n as usize / 2, n as usize, n as usize + 7] {
-            assert_eq!(plain.tail_to_vec(k), packed.tail_to_vec(k), "tail {k}");
+            assert_eq!(packed.tail_to_vec(k), &model[model.len() - k.min(model.len())..], "tail {k}");
         }
     }
 
@@ -731,7 +727,7 @@ mod tests {
         assert_eq!(s.sealed_block_count(), 2);
         assert_eq!(s.head_len(), 5);
         assert_eq!(s.len(), 25);
-        assert!(s.as_uncompressed().is_none());
+        assert!(matches!(s.points(), Cow::Owned(_)), "sealed points are decoded");
         assert!(s.sealed_bytes() > 0);
     }
 
@@ -739,7 +735,31 @@ mod tests {
     fn uncompressed_points_borrows() {
         let s = TimeSeries::from_values(0, 60, &[1.0, 2.0]);
         assert!(matches!(s.points(), Cow::Borrowed(_)));
-        assert!(s.as_uncompressed().is_some());
+        assert_eq!((s.sealed_block_count(), s.head_len()), (0, 2));
+    }
+
+    #[test]
+    fn every_constructor_seals_at_the_default_limit_and_zero_counts_as_one() {
+        let limit = StoreConfig::DEFAULT_SEAL_LIMIT;
+        let values: Vec<f64> = (0..300).map(|i| i as f64).collect();
+        let pairs = values.iter().enumerate().map(|(i, &v)| (i as Timestamp, v));
+        for s in [
+            TimeSeries::from_values(0, 1, &values),
+            TimeSeries::from_pairs(pairs).unwrap(),
+        ] {
+            assert_eq!(s.seal_limit(), limit);
+            assert_eq!((s.sealed_block_count(), s.head_len()), (2, 300 - 2 * limit as usize));
+            assert_eq!(s.values(), values);
+        }
+        assert_eq!(TimeSeries::new().seal_limit(), limit);
+        assert_eq!(TimeSeries::default().seal_limit(), limit);
+        let mut s = TimeSeries::with_seal_limit(0);
+        assert_eq!(s.seal_limit(), 1);
+        s.append(0, 1.0).unwrap();
+        assert_eq!((s.sealed_block_count(), s.head_len()), (1, 0));
+        s.set_seal_limit(4);
+        s.set_seal_limit(0);
+        assert_eq!(s.seal_limit(), 1);
     }
 
     #[test]
@@ -751,9 +771,15 @@ mod tests {
         assert_eq!(s.head_len(), 1);
         assert_eq!((s.version(), s.appended()), before);
         assert_eq!(s.values(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        s.set_seal_limit(0);
+        // A larger limit decodes the blocks back into one head.
+        s.set_seal_limit(8);
         assert_eq!(s.sealed_block_count(), 0);
         assert_eq!(s.head_len(), 5);
+        assert_eq!((s.version(), s.appended()), before);
+        assert_eq!(s.values(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+        // A smaller one re-packs from scratch.
+        s.set_seal_limit(3);
+        assert_eq!((s.sealed_block_count(), s.head_len()), (1, 2));
         assert_eq!((s.version(), s.appended()), before);
         assert_eq!(s.values(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
     }
@@ -814,18 +840,19 @@ mod tests {
 
     #[test]
     fn resident_bytes_shrinks_when_sealing() {
-        let mut plain = TimeSeries::new();
         let mut packed = TimeSeries::with_seal_limit(64);
         for i in 0..640 {
-            plain.append(i * 60, 2.5).unwrap();
             packed.append(i * 60, 2.5).unwrap();
+            if i < 63 {
+                // Until the first seal every point costs its plain 16 bytes.
+                assert_eq!(packed.resident_bytes(), (i as usize + 1) * 16);
+            }
         }
-        assert_eq!(plain.resident_bytes(), 640 * 16);
+        let plain = 640 * std::mem::size_of::<DataPoint>();
         assert!(
-            packed.resident_bytes() < plain.resident_bytes() / 4,
-            "constant data should compress >4x: {} vs {}",
+            packed.resident_bytes() < plain / 4,
+            "constant data should compress >4x: {} vs {plain}",
             packed.resident_bytes(),
-            plain.resident_bytes()
         );
     }
 

@@ -67,27 +67,18 @@ pub fn write_snapshot<W: Write>(store: &TsdbStore, mut writer: W) -> Result<()> 
     writer.flush().map_err(failed(ids.len() + 1))
 }
 
-/// Reads a snapshot into a fresh store with the default (uncompressed)
-/// storage policy.
+/// Reads a snapshot into a fresh store with the default storage policy —
+/// the text format carries raw points, so each series re-encodes into
+/// sealed blocks through [`TsdbStore::insert_series`]. Every failure is a
+/// [`TsdbError::Snapshot`] naming the offending line.
 pub fn read_snapshot<R: Read>(reader: R) -> Result<TsdbStore> {
-    read_snapshot_with_config(reader, crate::store::StoreConfig::default())
-}
-
-/// Reads a snapshot into a fresh store with an explicit storage policy —
-/// the text format carries raw points, so restoring into a compressed
-/// store re-encodes each series through [`TsdbStore::insert_series`].
-/// Every failure is a [`TsdbError::Snapshot`] naming the offending line.
-pub fn read_snapshot_with_config<R: Read>(
-    reader: R,
-    config: crate::store::StoreConfig,
-) -> Result<TsdbStore> {
     let mut lines = BufReader::new(reader).lines();
     match lines.next() {
         Some(Ok(header)) if header == HEADER => {}
         Some(Err(_)) => return Err(TsdbError::Snapshot { line: 1, reason: "read failed" }),
         _ => return Err(TsdbError::Snapshot { line: 1, reason: "missing or unknown header" }),
     }
-    let store = TsdbStore::with_config(config);
+    let store = TsdbStore::new();
     for (i, text) in lines.enumerate() {
         let line = i + 2;
         let err = |reason| TsdbError::Snapshot { line, reason };
@@ -119,6 +110,7 @@ pub fn read_snapshot_with_config<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::DataPoint;
 
     fn demo_store() -> TsdbStore {
         let store = TsdbStore::new();
@@ -162,22 +154,26 @@ mod tests {
 
     #[test]
     fn compressed_store_roundtrips_and_reencodes() {
-        use crate::store::StoreConfig;
-        let store = TsdbStore::compressed();
+        let store = TsdbStore::new();
         let id = SeriesId::new("s", MetricKind::GCpu, "x");
-        for t in 0..300u64 {
-            store.append(&id, t * 60, (t as f64 * 0.1).sin()).unwrap();
+        let model: Vec<DataPoint> =
+            (0..300u64).map(|t| DataPoint::new(t * 60, (t as f64 * 0.1).sin())).collect();
+        for p in &model {
+            store.append(&id, p.timestamp, p.value).unwrap();
         }
         let mut buf = Vec::new();
         write_snapshot(&store, &mut buf).unwrap();
-        // Restore into a compressed store: points re-encode on load.
-        let restored = read_snapshot_with_config(buf.as_slice(), StoreConfig::compressed()).unwrap();
-        assert_eq!(restored.get(&id).unwrap(), store.get(&id).unwrap());
-        assert!(restored.stats().sealed_blocks() > 0);
-        // And into an uncompressed one: same data, plain representation.
-        let plain = read_snapshot(buf.as_slice()).unwrap();
-        assert_eq!(plain.get(&id).unwrap(), store.get(&id).unwrap());
-        assert_eq!(plain.stats().sealed_blocks(), 0);
+        // The text carries the raw points: one line, the model's points.
+        let text = String::from_utf8(buf.clone()).unwrap();
+        let written: Vec<String> = model.iter().map(|p| format!("{}:{}", p.timestamp, p.value)).collect();
+        assert_eq!(text, format!("{HEADER}\ns\tgcpu\tx\t{}\n", written.join(",")));
+        // Restoring re-encodes them into sealed blocks of the default size.
+        let restored = read_snapshot(buf.as_slice()).unwrap();
+        let series = restored.get(&id).unwrap();
+        assert_eq!(&*series.points(), &model[..]);
+        assert_eq!(series, store.get(&id).unwrap());
+        assert_eq!(restored.stats(), store.stats());
+        assert_eq!((series.sealed_block_count(), series.head_len()), (2, 300 - 256));
     }
 
     #[test]

@@ -66,11 +66,10 @@ pub struct BatchAppendOutcome {
 
 /// Storage policy for a [`TsdbStore`]: how aggressively series compress
 /// their history and how much memory each shard may hold.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Head size (points) at which each series seals a compressed block.
-    /// 0 keeps every series as a plain uncompressed vector — the default,
-    /// matching the pre-compression representation exactly.
+    /// Head size (points) at which each series seals a compressed block;
+    /// a limit of 0 counts as 1.
     pub seal_limit: u32,
     /// Optional per-shard resident-byte budget. When a shard exceeds it,
     /// the store evicts whole sealed blocks — oldest block first (by the
@@ -80,19 +79,26 @@ pub struct StoreConfig {
     pub shard_budget_bytes: Option<usize>,
 }
 
-impl StoreConfig {
-    /// Seal limit used by [`StoreConfig::compressed`]: small enough that a
-    /// paper-shaped 900-point series packs into several blocks (so expiry
-    /// and eviction have useful granularity), large enough that Gorilla's
-    /// delta-of-delta and XOR windows amortize the 16-byte first sample.
-    pub const DEFAULT_SEAL_LIMIT: u32 = 128;
-
-    /// Gorilla compression on, no memory budget.
-    pub fn compressed() -> Self {
+impl Default for StoreConfig {
+    fn default() -> Self {
         StoreConfig {
             seal_limit: Self::DEFAULT_SEAL_LIMIT,
             shard_budget_bytes: None,
         }
+    }
+}
+
+impl StoreConfig {
+    /// The default seal limit: small enough that a paper-shaped 900-point
+    /// series packs into several blocks (so expiry and eviction have
+    /// useful granularity), large enough that Gorilla's delta-of-delta and
+    /// XOR windows amortize the 16-byte first sample.
+    pub const DEFAULT_SEAL_LIMIT: u32 = 128;
+
+    /// The default config under its older name: seal every
+    /// [`StoreConfig::DEFAULT_SEAL_LIMIT`] points, no memory budget.
+    pub fn compressed() -> Self {
+        Self::default()
     }
 
     /// This config with a per-shard resident-byte budget.
@@ -199,7 +205,7 @@ impl StoreStats {
     }
 
     /// Resident bytes per stored point (0 when empty) — the headline
-    /// compression number (16.0 for a fully uncompressed store).
+    /// compression number (16.0 while every point sits in a head).
     pub fn bytes_per_point(&self) -> f64 {
         let points = self.points();
         if points == 0 {
@@ -262,7 +268,7 @@ impl Default for TsdbStore {
 }
 
 impl TsdbStore {
-    /// Creates an empty store with the default (uncompressed) config.
+    /// Creates an empty store with the default config.
     pub fn new() -> Self {
         Self::with_config(StoreConfig::default())
     }
@@ -276,11 +282,6 @@ impl TsdbStore {
             config,
             direct_blocks_decoded: AtomicU64::new(0),
         }
-    }
-
-    /// Creates an empty store with Gorilla compression enabled.
-    pub fn compressed() -> Self {
-        Self::with_config(StoreConfig::compressed())
     }
 
     /// Creates a store wrapped in an [`Arc`] for sharing across threads.
@@ -686,7 +687,7 @@ impl TsdbStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::MetricKind;
+    use crate::types::{DataPoint, MetricKind};
 
     fn id(target: &str) -> SeriesId {
         SeriesId::new("svc", MetricKind::GCpu, target)
@@ -976,22 +977,23 @@ mod tests {
 
     // --- compression + budget tests ---
 
-    /// Builds the same workload into an uncompressed and a compressed
-    /// store; every read path must agree.
-    fn twin_stores(n_series: usize, n_points: u64) -> (TsdbStore, TsdbStore, Vec<SeriesId>) {
-        let plain = TsdbStore::new();
-        let packed = TsdbStore::compressed();
-        let mut ids = Vec::new();
+    /// Appends the same workload to a default store and to one plain point
+    /// vector per series, the model every read path must agree with.
+    fn modelled_store(n_series: usize, n_points: u64) -> (TsdbStore, Vec<SeriesId>, Vec<Vec<DataPoint>>) {
+        let store = TsdbStore::new();
+        let (mut ids, mut models) = (Vec::new(), Vec::new());
         for s in 0..n_series {
             let sid = id(&format!("s{s}"));
-            for t in 0..n_points {
-                let v = ((t + s as u64) as f64 * 0.01).sin();
-                plain.append(&sid, t * 60, v).unwrap();
-                packed.append(&sid, t * 60, v).unwrap();
+            let model: Vec<DataPoint> = (0..n_points)
+                .map(|t| DataPoint::new(t * 60, ((t + s as u64) as f64 * 0.01).sin()))
+                .collect();
+            for p in &model {
+                store.append(&sid, p.timestamp, p.value).unwrap();
             }
             ids.push(sid);
+            models.push(model);
         }
-        (plain, packed, ids)
+        (store, ids, models)
     }
 
     #[test]
@@ -1002,28 +1004,40 @@ mod tests {
             extended: 25 * 60,
             rerun_interval: 600,
         };
-        let (plain, packed, ids) = twin_stores(6, 300);
         let now = 290 * 60;
-        let refs: Vec<&SeriesId> = ids.iter().collect();
-        assert_eq!(
-            plain.snapshot_windows(&refs, &cfg, now),
-            packed.snapshot_windows(&refs, &cfg, now)
-        );
-        for sid in &ids {
-            assert_eq!(plain.windows(sid, &cfg, now), packed.windows(sid, &cfg, now));
-            assert_eq!(plain.get(sid).unwrap(), packed.get(sid).unwrap());
-            assert_eq!(
-                plain.last_timestamp(sid).unwrap(),
-                packed.last_timestamp(sid).unwrap()
-            );
+        // 300 points seal into blocks; 100 stay in the head.
+        for (n_points, sealed) in [(300, true), (100, false)] {
+            let (packed, ids, models) = modelled_store(6, n_points);
+            let refs: Vec<&SeriesId> = ids.iter().collect();
+            let want_windows: Vec<_> =
+                models.iter().map(|m| windows_from_points(m, &cfg, now)).collect();
+            assert_eq!(packed.snapshot_windows(&refs, &cfg, now), want_windows);
+            for ((sid, model), want) in ids.iter().zip(&models).zip(&want_windows) {
+                assert_eq!(&packed.windows(sid, &cfg, now), want);
+                assert_eq!(&*packed.get(sid).unwrap().points(), &model[..]);
+                assert_eq!(
+                    packed.last_timestamp(sid).unwrap(),
+                    model.last().map(|p| p.timestamp)
+                );
+            }
+            let start = snapshot_bounds(&cfg, now).0;
+            let want_deltas: Vec<SeriesDelta> = models
+                .iter()
+                .map(|m| {
+                    let mut columns = SeriesColumns::default();
+                    for p in m.iter().filter(|p| p.timestamp >= start) {
+                        columns.times.push(p.timestamp);
+                        columns.values.push(p.value);
+                    }
+                    let n = m.len() as u64;
+                    let version = SeriesVersion { version: n, appended: n };
+                    SeriesDelta::Reset { version, columns }
+                })
+                .collect();
+            assert_eq!(packed.snapshot_deltas(&refs, &[], &cfg, now), want_deltas);
+            // Sealed-block reads are tallied; head-only series have none.
+            assert_eq!(packed.stats().blocks_decoded() > 0, sealed);
         }
-        assert_eq!(
-            plain.snapshot_deltas(&refs, &[], &cfg, now),
-            packed.snapshot_deltas(&refs, &[], &cfg, now)
-        );
-        // Sealed-block reads are tallied; a plain store has none to decode.
-        assert!(packed.stats().blocks_decoded() > 0);
-        assert_eq!(plain.stats().blocks_decoded(), 0);
     }
 
     #[test]
@@ -1034,7 +1048,7 @@ mod tests {
             extended: 25 * 60,
             rerun_interval: 600,
         };
-        let (_, packed, ids) = twin_stores(1, 300);
+        let (packed, ids, _) = modelled_store(1, 300);
         let sid = &ids[0];
         assert!(packed.with_series(sid, |s| s.sealed_block_count()).unwrap() > 0);
         let now = 290 * 60;
@@ -1098,11 +1112,14 @@ mod tests {
 
     #[test]
     fn stats_track_compression_and_agree_with_recount() {
-        let (plain, packed, _) = twin_stores(4, 300);
+        // 100-point series never fill a block; 300-point ones seal two.
+        let (plain, _, _) = modelled_store(4, 100);
+        let (packed, _, _) = modelled_store(4, 300);
         let ps = plain.stats();
         let cs = packed.stats();
-        assert_eq!(ps.points(), cs.points());
-        assert_eq!(ps.series(), cs.series());
+        assert_eq!((ps.points(), cs.points()), (4 * 100, 4 * 300));
+        assert_eq!((ps.series(), cs.series()), (4, 4));
+        assert_eq!((ps.sealed_blocks(), ps.head_points()), (0, 4 * 100));
         assert!((ps.bytes_per_point() - 16.0).abs() < 1e-9);
         assert!(
             cs.bytes_per_point() < 12.0,
@@ -1204,7 +1221,7 @@ mod tests {
 
     #[test]
     fn insert_series_repacks_to_store_policy() {
-        let store = TsdbStore::compressed();
+        let store = TsdbStore::new();
         let a = id("a");
         store.insert_series(a.clone(), TimeSeries::from_values(0, 60, &vec![1.5; 400]));
         let series = store.get(&a).unwrap();
@@ -1216,15 +1233,22 @@ mod tests {
     }
 
     #[test]
-    fn default_store_stays_uncompressed() {
+    fn default_store_seals() {
         let store = TsdbStore::new();
+        assert_eq!(*store.config(), StoreConfig::compressed());
+        assert_eq!(StoreConfig::default().seal_limit, StoreConfig::DEFAULT_SEAL_LIMIT);
         for t in 0..300u64 {
             store.append(&id("a"), t, 1.0).unwrap();
         }
         let stats = store.stats();
-        assert_eq!(stats.sealed_blocks(), 0);
-        assert_eq!(stats.resident_bytes(), 300 * 16);
-        assert!((stats.bytes_per_point() - 16.0).abs() < 1e-9);
-        assert_eq!(stats.max_shard_resident_bytes(), 300 * 16);
+        assert_eq!((stats.sealed_blocks(), stats.head_points()), (2, 300 - 256));
+        let series = store.get(&id("a")).unwrap();
+        assert_eq!(stats.resident_bytes(), series.resident_bytes());
+        assert_eq!(stats.max_shard_resident_bytes(), series.resident_bytes());
+        assert!(stats.bytes_per_point() < 16.0 / 4.0, "constant data packs >4x");
+        // A zero seal limit counts as one: every point is its own block.
+        let tiny = TsdbStore::with_config(StoreConfig { seal_limit: 0, shard_budget_bytes: None });
+        tiny.append(&id("a"), 0, 1.0).unwrap();
+        assert_eq!((tiny.stats().sealed_blocks(), tiny.stats().head_points()), (1, 0));
     }
 }

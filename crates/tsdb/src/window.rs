@@ -375,11 +375,7 @@ pub fn extract_windows(
     config: &WindowConfig,
     now: Timestamp,
 ) -> Result<WindowedData> {
-    if let Some(points) = series.as_uncompressed() {
-        // Uncompressed fast path: window straight off the borrowed slice.
-        return windows_from_points(points, config, now);
-    }
-    // Compressed: decode only the scan range. `windows_from_points` ignores
+    // Decode only the scan range. `windows_from_points` ignores
     // out-of-range points anyway, so trimming here changes nothing but the
     // amount of decoding.
     let (start, end) = snapshot_bounds(config, now);

@@ -1,6 +1,7 @@
 //! Property-based tests for the time-series store.
 
 use fbd_tsdb::aggregate::{aligned_mean, mean_of_series};
+use fbd_tsdb::block::SUMMARY_BYTES;
 use fbd_tsdb::window::{extract_windows, WindowConfig};
 use fbd_tsdb::{
     BlockBuilder, DataPoint, MetricKind, SealedBlock, SeriesDelta, SeriesId, StoreConfig, TimeRuns,
@@ -279,7 +280,7 @@ proptest! {
     #[test]
     fn reset_columns_match_the_range_copy(
         points in wild_points(300),
-        seal_limit in 0u32..40,
+        seal_limit in 1u32..40,
         start_sel in any::<u64>(),
     ) {
         // What a Reset hands the engine (columns decoded straight from the
@@ -324,30 +325,33 @@ proptest! {
         span in 1u64..1_000_000,
         tail in 0usize..350,
     ) {
-        let mut plain = TimeSeries::new();
+        // The model is the appended points themselves, as a plain vector.
         let mut packed = TimeSeries::with_seal_limit(seal_limit);
         for p in &points {
-            plain.append(p.timestamp, p.value).unwrap();
             packed.append(p.timestamp, p.value).unwrap();
         }
-        prop_assert_eq!(plain.len(), packed.len());
-        prop_assert_eq!((plain.version(), plain.appended()), (packed.version(), packed.appended()));
+        let n = points.len();
+        prop_assert_eq!(packed.len(), n);
+        prop_assert_eq!((packed.version(), packed.appended()), (n as u64, n as u64));
         // Bit-exact full reads (PartialEq would fail on NaN, so compare bits).
-        let pv: Vec<(u64, u64)> = plain.iter().map(|p| (p.timestamp, p.value.to_bits())).collect();
+        let bits = |ps: &[DataPoint]| -> Vec<(u64, u64)> {
+            ps.iter().map(|p| (p.timestamp, p.value.to_bits())).collect()
+        };
         let cv: Vec<(u64, u64)> = packed.iter().map(|p| (p.timestamp, p.value.to_bits())).collect();
-        prop_assert_eq!(pv, cv);
+        prop_assert_eq!(cv, bits(&points));
         // Range and tail reads agree.
-        let pr: Vec<(u64, u64)> = plain.range_to_vec(lo, lo.saturating_add(span)).iter()
-            .map(|p| (p.timestamp, p.value.to_bits())).collect();
-        let cr: Vec<(u64, u64)> = packed.range_to_vec(lo, lo.saturating_add(span)).iter()
-            .map(|p| (p.timestamp, p.value.to_bits())).collect();
-        prop_assert_eq!(pr, cr);
-        let pt: Vec<(u64, u64)> = plain.tail_to_vec(tail).iter()
-            .map(|p| (p.timestamp, p.value.to_bits())).collect();
-        let ct: Vec<(u64, u64)> = packed.tail_to_vec(tail).iter()
-            .map(|p| (p.timestamp, p.value.to_bits())).collect();
-        prop_assert_eq!(pt, ct);
-        prop_assert_eq!(plain.resident_bytes(), plain.len() * 16);
+        let hi = lo.saturating_add(span);
+        let in_range: Vec<DataPoint> =
+            points.iter().filter(|p| p.timestamp >= lo && p.timestamp < hi).copied().collect();
+        prop_assert_eq!(bits(&packed.range_to_vec(lo, hi)), bits(&in_range));
+        prop_assert_eq!(bits(&packed.tail_to_vec(tail)), bits(&points[n - tail.min(n)..]));
+        // Full runs are sealed; the head holds the rest at 16 bytes a point.
+        let limit = seal_limit as usize;
+        prop_assert_eq!((packed.sealed_block_count(), packed.head_len()), (n / limit, n % limit));
+        prop_assert_eq!(
+            packed.resident_bytes(),
+            packed.head_len() * 16 + packed.sealed_bytes() + packed.sealed_block_count() * SUMMARY_BYTES
+        );
     }
 
     #[test]

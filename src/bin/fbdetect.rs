@@ -15,8 +15,8 @@ use fbdetect::core::{report, DetectorConfig, Pipeline, ScanContext, Threshold};
 use fbdetect::fleet::server::Fleet;
 use fbdetect::fleet::{ServiceSim, ServiceSimConfig};
 use fbdetect::profiler::callgraph::uniform_service_graph;
-use fbdetect::tsdb::snapshot::{read_snapshot_with_config, write_snapshot};
-use fbdetect::tsdb::{StoreConfig, TsdbStore, WindowConfig};
+use fbdetect::tsdb::snapshot::{read_snapshot, write_snapshot};
+use fbdetect::tsdb::{TsdbStore, WindowConfig};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -122,8 +122,7 @@ fn simulate(args: &HashMap<String, String>) -> Result<(), String> {
 fn load(args: &HashMap<String, String>) -> Result<TsdbStore, String> {
     let path = args.get("in").ok_or("requires in=<path>")?;
     let file = File::open(path).map_err(|e| e.to_string())?;
-    read_snapshot_with_config(BufReader::new(file), StoreConfig::compressed())
-        .map_err(|e| e.to_string())
+    read_snapshot(BufReader::new(file)).map_err(|e| e.to_string())
 }
 
 fn scan(args: &HashMap<String, String>) -> Result<(), String> {

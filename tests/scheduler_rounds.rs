@@ -12,7 +12,7 @@ use fbdetect::core::{report, DetectorConfig, EngineStats, Pipeline, ScanContext,
 use fbdetect::fleet::scenarios::{labelled_suite, LabelledSeries, SuiteConfig};
 use fbdetect::ingest::{encode_batch, IngestConfig, IngestPipeline, QuotaConfig, SampleBatch};
 use fbdetect::tsdb::{
-    MetricKind, SeriesId, StoreConfig, StoreStats, TimeSeries, TsdbStore, WindowConfig,
+    MetricKind, SeriesId, StoreStats, TimeSeries, TsdbStore, WindowConfig,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -46,7 +46,7 @@ fn suite() -> Vec<LabelledSeries> {
 }
 
 fn load(suite: &[LabelledSeries]) -> (Arc<TsdbStore>, Vec<SeriesId>) {
-    let store = TsdbStore::with_config(StoreConfig::compressed());
+    let store = TsdbStore::new();
     let ids: Vec<SeriesId> = (0..suite.len())
         .map(|i| SeriesId::new("svc", MetricKind::GCpu, format!("s{i:05}")))
         .collect();
@@ -278,7 +278,7 @@ fn ingest_built_store_matches_direct() {
     };
     let suite = labelled_suite(&config, 9).unwrap();
     let (direct, ids) = load(&suite);
-    let wired = Arc::new(TsdbStore::with_config(StoreConfig::compressed()));
+    let wired = Arc::new(TsdbStore::new());
     let pipeline = replay_pipeline(&wired);
     let columns: Vec<Vec<f64>> = suite.iter().map(|s| s.values.clone()).collect();
     submit_wire(&pipeline, &ids, 0, &columns);
