@@ -87,8 +87,8 @@ mod tests {
 
     #[test]
     fn distances() {
-        assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
+        assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]).to_bits(), 25.0_f64.to_bits());
+        assert_eq!(distance(&[0.0, 0.0], &[3.0, 4.0]).to_bits(), 5.0_f64.to_bits());
     }
 
     #[test]

@@ -33,13 +33,13 @@ impl Threshold {
 
     /// Whether no shift from a baseline of at least `baseline_lb` to a
     /// current value of at most `current_ub` can meet the threshold — the
-    /// one refutation rule behind the long-term pre-filter and its
-    /// online replica. `is_met` is monotone (decreasing in the baseline,
-    /// increasing in the current value) for absolute thresholds always,
-    /// and for relative thresholds only when the baseline bound is
-    /// positive and the threshold non-negative — exactly the cases where
-    /// refuting the optimistic pair refutes every pair in the box. Any
-    /// other case, and any non-finite bound, refutes nothing.
+    /// refutation rule behind the long-term pre-filter. `is_met` is
+    /// monotone (decreasing in the baseline, increasing in the current
+    /// value) for absolute thresholds always, and for relative thresholds
+    /// only when the baseline bound is positive and the threshold
+    /// non-negative — exactly the cases where refuting the optimistic pair
+    /// refutes every pair in the box. Any other case, and any non-finite
+    /// bound, refutes nothing.
     pub(crate) fn refuted_by(&self, baseline_lb: f64, current_ub: f64) -> bool {
         let monotone_safe = match *self {
             Threshold::Absolute(_) => true,
@@ -320,7 +320,7 @@ mod tests {
         let t = Threshold::Absolute(0.1);
         assert!(t.is_met(1.0, 1.1));
         assert!(!t.is_met(1.0, 1.05));
-        assert_eq!(t.absolute_for(100.0), 0.1);
+        assert_eq!(t.absolute_for(100.0).to_bits(), 0.1_f64.to_bits());
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
         assert!(t.is_met(1.0, 1.1));
         assert!(!t.is_met(100.0, 101.0));
         assert!(!t.is_met(0.0, 1.0)); // No baseline, no relative change.
-        assert_eq!(t.absolute_for(2.0), 0.2);
+        assert_eq!(t.absolute_for(2.0).to_bits(), 0.2_f64.to_bits());
     }
 
     #[test]
@@ -344,18 +344,19 @@ mod tests {
     #[test]
     fn paper_parameter_defaults() {
         let c = presets::frontfaas_small();
-        assert_eq!(c.significance, 0.01);
+        assert_eq!(c.significance.to_bits(), 0.01_f64.to_bits());
         assert_eq!(c.sax.buckets, 20);
         assert!((c.sax.validity_fraction - 0.03).abs() < 1e-12);
-        assert_eq!(c.regression_coefficient, 1.5);
-        assert_eq!(c.importance_weights, [0.2, 0.6, 0.1, 0.1]);
+        assert_eq!(c.regression_coefficient.to_bits(), 1.5_f64.to_bits());
+        assert_eq!(c.importance_weights.map(f64::to_bits), [0.2, 0.6, 0.1, 0.1].map(f64::to_bits));
         assert!(matches!(c.threshold, Threshold::Absolute(t) if (t - 0.00005).abs() < 1e-12));
     }
 
     #[test]
     fn workload_specific_flags() {
         assert!(!presets::pythonfaas_large().long_term_enabled);
-        assert_eq!(presets::adserving_short().cost_domain_exclusion_ratio, 0.0);
+        let ratio = presets::adserving_short().cost_domain_exclusion_ratio;
+        assert_eq!(ratio.to_bits(), 0.0_f64.to_bits());
         assert!(matches!(
             presets::ct_demand().threshold,
             Threshold::Relative(_)

@@ -229,7 +229,7 @@ mod tests {
         let signature = model.document_signature(0).unwrap();
         let v = feature_vector(&regression("foo", 100), signature, 0b11).unwrap();
         assert_eq!(v.len(), 9);
-        assert_eq!(v[8], 3.0); // The bitmap rides in the last slot.
+        assert_eq!(v[8].to_bits(), 3.0_f64.to_bits()); // The bitmap rides in the last slot.
         assert!(v[0] >= 0.0); // Variance.
         assert!((0.0..=1.0).contains(&v[1])); // Change fraction.
     }
@@ -247,8 +247,8 @@ mod tests {
         let features =
             |i: usize| feature_vector(&batch[i], model.document_signature(i).unwrap(), 0).unwrap();
         let (a, b) = (features(0), features(1));
-        assert_eq!(a[6], b[6]);
-        assert_eq!(a[7], b[7]);
+        assert_eq!(a[6].to_bits(), b[6].to_bits());
+        assert_eq!(a[7].to_bits(), b[7].to_bits());
         let c = features(2);
         assert_ne!((a[6], a[7]), (c[6], c[7]));
     }

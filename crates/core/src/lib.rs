@@ -50,7 +50,7 @@ pub use error::DetectError;
 pub use pipeline::{Pipeline, ScanBudget, ScanContext, ScanOutcome};
 pub use profile::StageNanos;
 pub use quarantine::{FaultKind, Quarantine, QuarantineConfig};
-pub use scan_state::{EngineStats, OnlinePolicy, StreamingEngine};
+pub use scan_state::{EngineStats, StreamingEngine};
 pub use types::{FunnelCounters, Regression, RegressionKind, ScanHealth};
 pub use went_away::{DecidedBy, WentAwayStats, WentAwayVerdict};
 

@@ -30,27 +30,26 @@ use fbd_tsdb::{SeriesId, Timestamp, WindowedData};
 /// or the pre-filter's conservativeness proof breaks.
 const TREND_FRACTION: f64 = 0.1;
 
-/// Geometry shared by the trend pre-filter and its online replica in the
-/// streaming engine: the four sliding-mean regions the detector's decision
-/// reduces to, the sliding-window width, and the dilation that covers the
-/// widest Loess half-window either trend path can use. The replica must
-/// evaluate *identical* regions for its refutation to imply the cold
-/// pre-filter's, so both construct the geometry here.
+/// Geometry of the trend pre-filter: the four sliding-mean regions the
+/// detector's decision reduces to, the sliding-window width, and the
+/// dilation that covers the widest Loess half-window either trend path can
+/// use. The pre-filter and the full path's region means both construct
+/// the regions here, so they evaluate identical ones.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PrefilterGeometry {
+struct PrefilterGeometry {
     /// Sliding-mean window width (the detector's region width).
-    pub edge: usize,
+    edge: usize,
     /// Region dilation on each side, covering the Loess half-window.
-    pub dilation: usize,
+    dilation: usize,
     /// `[start_of_historic, start_of_analysis, end_of_analysis,
     /// end_of_series]` as half-open index ranges into the window buffer.
-    pub regions: [(usize, usize); 4],
+    regions: [(usize, usize); 4],
 }
 
 /// Builds the pre-filter geometry for an `n`-point window, or `None` when
 /// the pre-filter must not run (analysis region too short to bound, or the
 /// sliding window would not fit the data).
-pub(crate) fn prefilter_geometry(
+fn prefilter_geometry(
     n: usize,
     h_len: usize,
     a_len: usize,
@@ -179,7 +178,7 @@ impl LongTermDetector {
         };
         let [start_hist, start_anal, end_anal, end_series] = geo
             .regions
-            .map(|(lo, hi)| sliding_mean_bounds(prefix, lo, hi, geo.dilation, geo.edge));
+            .map(|(lo, hi)| sliding_mean_range(prefix, lo, hi, geo.dilation, geo.edge));
         let (baseline_lb, current_ub) = baseline_and_current(
             [start_hist.0, start_anal.0, end_anal.1, end_series.1],
             windows.extended_len(),
@@ -281,7 +280,7 @@ impl LongTermDetector {
 /// [`PrefilterGeometry::regions`]: baseline = max of the two start
 /// regions, current = min of the two end regions (the analysis end alone
 /// when the extended window is empty).
-pub(crate) fn baseline_and_current(means: [f64; 4], extended_len: usize) -> (f64, f64) {
+fn baseline_and_current(means: [f64; 4], extended_len: usize) -> (f64, f64) {
     let [start_of_historic, start_of_analysis, end_of_analysis, end_of_series] = means;
     let current = if extended_len == 0 {
         end_of_analysis
@@ -296,7 +295,7 @@ pub(crate) fn baseline_and_current(means: [f64; 4], extended_len: usize) -> (f64
 /// window mean is O(1) via the prefix sums, so a region scan is O(region +
 /// 2d). Falls back to the dilated region's own mean when no full window
 /// fits.
-fn sliding_mean_bounds(
+fn sliding_mean_range(
     prefix: &PrefixStats,
     lo: usize,
     hi: usize,

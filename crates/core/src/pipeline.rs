@@ -31,9 +31,7 @@ use crate::profile::StageNanos;
 use crate::quarantine::{FaultKind, Quarantine, QuarantineConfig};
 use crate::root_cause::{ChangeText, RcaContext, RootCauseAnalyzer};
 use crate::scan_cache::CacheStats;
-use crate::scan_state::{
-    CachedScan, EngineStats, OnlinePolicy, Prepared, ShortVerdict, StreamingEngine,
-};
+use crate::scan_state::{CachedScan, EngineStats, Prepared, ShortVerdict, StreamingEngine};
 use crate::seasonality::{SeasonalArtifacts, SeasonalityDetector};
 use crate::types::{FunnelCounters, Regression, ScanHealth};
 use crate::went_away::{WentAwayDetector, WentAwayStats};
@@ -179,7 +177,7 @@ pub struct Pipeline {
     /// Optional fault-injection hook (chaos drills).
     chaos_hook: Option<ChaosHook>,
     /// Streaming incremental scan engine (round-over-round reuse of window
-    /// snapshots, statistics, and quiet verdicts); `None` disables it and
+    /// snapshots, finite counts, and scan outcomes); `None` disables it and
     /// every round re-extracts from batched store snapshots.
     streaming: Option<StreamingEngine>,
     /// Cumulative telemetry across every scan so far.
@@ -207,7 +205,7 @@ impl Pipeline {
             ),
             budget: ScanBudget::default(),
             chaos_hook: None,
-            streaming: Some(Self::engine(&config)),
+            streaming: Some(StreamingEngine::new(config.windows)),
             tally: Tally::default(),
             threads: 4,
             config,
@@ -242,24 +240,13 @@ impl Pipeline {
     pub fn set_streaming(&mut self, enabled: bool) {
         if enabled {
             if self.streaming.is_none() {
-                self.streaming = Some(Self::engine(&self.config));
+                self.streaming = Some(StreamingEngine::new(self.config.windows));
             }
         } else {
             self.streaming = None;
         }
     }
 
-    /// A cold streaming engine whose Level C online refuter mirrors the
-    /// detectors this pipeline actually runs, so online refutations are
-    /// sound against them by construction.
-    fn engine(config: &DetectorConfig) -> StreamingEngine {
-        StreamingEngine::new(config.windows).with_online_policy(OnlinePolicy {
-            significance: config.significance,
-            threshold: config.threshold,
-            long_term_enabled: config.long_term_enabled,
-            max_period: config.max_seasonal_period,
-        })
-    }
 
     /// Round-over-round reuse counters of the streaming engine, when
     /// enabled.

@@ -108,9 +108,7 @@ mod tests {
     #[test]
     fn add_snapshot_delta_roundtrip() {
         let mut profile = StageNanos::default();
-        let mut batch = StageNanos::default();
-        batch.windowing = 100;
-        batch.long_term = 250;
+        let batch = StageNanos { windowing: 100, long_term: 250, ..StageNanos::default() };
         profile.accumulate(&batch);
         profile.accumulate(&batch);
         let first = profile;
@@ -126,19 +124,20 @@ mod tests {
 
     #[test]
     fn named_covers_every_stage_once() {
-        let mut n = StageNanos::default();
-        n.ingest = 1;
-        n.windowing = 2;
-        n.short_term = 3;
-        n.long_term = 4;
-        n.complete = 5;
-        n.went_away = 6;
-        n.seasonality = 7;
-        n.threshold = 8;
-        n.som_dedup = 9;
-        n.cost_shift = 10;
-        n.pairwise_dedup = 11;
-        n.root_cause = 12;
+        let n = StageNanos {
+            ingest: 1,
+            windowing: 2,
+            short_term: 3,
+            long_term: 4,
+            complete: 5,
+            went_away: 6,
+            seasonality: 7,
+            threshold: 8,
+            som_dedup: 9,
+            cost_shift: 10,
+            pairwise_dedup: 11,
+            root_cause: 12,
+        };
         let named = n.named();
         assert_eq!(named.len(), 12);
         assert_eq!(n.total(), (1..=12).sum::<u64>());

@@ -391,7 +391,7 @@ mod tests {
     fn attribution_zero_when_no_regression() {
         let (before, _) = table2_samples();
         let score = gcpu_attribution(&before, &before, 2, &[1, 5]);
-        assert_eq!(score, 0.0);
+        assert_eq!(score.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(gcpu_attribution(&before, &after, 2, &[1]), 1.0);
+        assert_eq!(gcpu_attribution(&before, &after, 2, &[1]).to_bits(), 1.0_f64.to_bits());
     }
 
     fn regression_with_step(change_time: u64) -> Regression {

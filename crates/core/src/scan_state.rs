@@ -35,28 +35,17 @@
 //!   gate from the blockwise finite counts a [`RollingStats`] per series
 //!   maintains, instead of rescanning the window. Either produces the store
 //!   path's fault messages byte for byte, before any window is built.
-//! * **Online detector refutation** (*Level C*) — whenever neither Level A
-//!   nor a gate settles the series: on a series' first round (every series of
-//!   a cold scan by a fresh engine), and on rounds where the watermark
-//!   jumped and every partition moved. It is not a boundary-round
-//!   mechanism: it is the O(n) quiet-series pre-filter both detectors lean
-//!   on, and it refutes most of a cold scan's series (≈ 69 % on perfbench's
-//!   `cold_scan`). With an [`OnlinePolicy`] installed, the engine tries to
-//!   *refute* both detectors straight from the per-series [`RollingStats`]:
-//!   a sound upper bound on the short-term detector's best in-region
-//!   likelihood-ratio statistic ([`fbd_stats::online::max_lrt_upper_bound`])
-//!   and a guard-banded replica of the long-term trend pre-filter
-//!   ([`fbd_stats::online::sliding_mean_bounds`] over the shared
-//!   [`prefilter_geometry`]). Both bounds are one-sided: when they hold,
-//!   the cold kernels provably return `None`, so the quiet outcome is
-//!   recorded without ever building a window; when either bound cannot be
-//!   proven — or any window sample is non-finite — the series falls
-//!   through to a full scan ([`EngineStats::online_fallbacks`]). Scan
-//!   outcomes are therefore unchanged by construction, which the
-//!   never-changes-an-outcome property tests pin.
-//! * **Scratch reuse** — each state owns the window value buffer for its
-//!   series; steady-state rounds extract windows into it with zero new
-//!   allocations ([`EngineStats::buffer_growth`] counts the exceptions).
+//!   Everything else is a fresh scan, in which the detectors' own
+//!   pre-filters (the short-term LRT skip bound and the long-term trend
+//!   pre-filter) refute quiet series; an engine-side copy of them over
+//!   rolling moments measured no cheaper (DESIGN.md, "Streaming scan
+//!   engine").
+//! * **One window scratch per shard** — a fresh scan copies its window into
+//!   the scratch buffer of the series' engine shard and hands it back on
+//!   [`StreamingEngine::complete`]; a shard's series are scanned one after
+//!   another on one worker, so one buffer serves them all and steady-state
+//!   rounds extract windows with zero new allocations
+//!   ([`EngineStats::buffer_growth`] counts the exceptions).
 //! * **One resident copy per point** — a state is two columns over one
 //!   absolute point index: the values live only in the [`RollingStats`]
 //!   ring and the timestamps only as [`TimeRuns`] (one run for a regular
@@ -94,11 +83,7 @@
 //! falls back to a full store scan for the round — and a fresh `Reset`
 //! rebuilds it next round.
 
-use crate::config::Threshold;
-use crate::long_term::{baseline_and_current, prefilter_geometry};
 use crate::types::Regression;
-use fbd_stats::distributions::chi_squared_p_value;
-use fbd_stats::online;
 use fbd_stats::streaming::RollingStats;
 use fbd_tsdb::{
     snapshot_bounds, window_coverage_from_counts, DataPoint, MetricKind, SeriesColumns, SeriesDelta,
@@ -112,34 +97,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// States untouched for this many rounds are dropped (series that left the
 /// scan set keep no memory forever).
 const STALE_ROUNDS: u64 = 64;
-
-/// Relative guard band for the Level C refuters: blockwise pivot-centered
-/// accumulation and the cold path's mean-centered prefix sums round
-/// differently, but over a window of at most a few thousand f64 samples
-/// their divergence is bounded by a few hundred ulps — orders of magnitude
-/// under 1e-9 of the data scale. Refutations are taken only with this
-/// margin to spare, so the bound staying one-sided survives any
-/// re-association the optimizer performs.
-const ONLINE_REL_GUARD: f64 = 1e-9;
-
-/// Detector parameters the Level C online refuters need to mirror the cold
-/// kernels' decision points exactly. Built by the pipeline from its
-/// [`crate::config::DetectorConfig`] via
-/// [`StreamingEngine::with_online_policy`]; an engine without a policy
-/// never attempts Level C.
-#[derive(Debug, Clone, Copy)]
-pub struct OnlinePolicy {
-    /// Short-term LRT significance (`DetectorConfig::significance`).
-    pub significance: f64,
-    /// Long-term regression threshold (`DetectorConfig::threshold`).
-    pub threshold: Threshold,
-    /// Whether the pipeline runs the long-term detector at all.
-    pub long_term_enabled: bool,
-    /// Long-term seasonality cap (`DetectorConfig::max_seasonal_period`),
-    /// which bounds the STL trend window the pre-filter geometry must
-    /// dilate over.
-    pub max_period: usize,
-}
 
 /// Absolute point-index partitions of one series at the five boundary
 /// timestamps window extraction uses: historic start, analysis start,
@@ -255,7 +212,7 @@ pub struct RoundToken {
 /// trims, which is what makes [`Partitions`] comparable across rounds.
 struct SeriesState {
     version: SeriesVersion,
-    /// Retained values, oriented, with their blockwise rolling sums.
+    /// Retained values, oriented, with their blockwise finite counts.
     stats: RollingStats,
     /// Retained timestamps as arithmetic runs: window boundaries and the
     /// cadence estimate come from the runs, O(log runs) on a regular series
@@ -264,8 +221,6 @@ struct SeriesState {
     /// Points with timestamps below this may have been discarded; a scan
     /// whose historic window starts earlier cannot be served from here.
     trim_ts: Timestamp,
-    /// Window value buffer, reused across rounds.
-    buffer: Vec<f64>,
     last: Option<RoundArtifacts>,
     /// Round counter at last sighting, for stale eviction.
     touched: u64,
@@ -282,7 +237,6 @@ impl SeriesState {
         version: SeriesVersion,
         columns: SeriesColumns,
         trim_ts: Timestamp,
-        buffer: Vec<f64>,
         touched: u64,
     ) -> Self {
         let SeriesColumns { times, mut values } = columns;
@@ -294,7 +248,6 @@ impl SeriesState {
             stats: RollingStats::adopt(times.first_index(), values),
             times,
             trim_ts,
-            buffer,
             last: None,
             touched,
         }
@@ -381,12 +334,10 @@ impl SeriesState {
         }
     }
 
-    /// Heap bytes this state holds: values, timestamp runs and the window
-    /// buffer, each at its capacity.
+    /// Heap bytes this state holds: values with their block counts, and
+    /// timestamp runs, each at its capacity.
     fn resident_bytes(&self) -> usize {
-        self.stats.resident_bytes()
-            + self.times.resident_bytes()
-            + self.buffer.capacity() * std::mem::size_of::<f64>()
+        self.stats.resident_bytes() + self.times.resident_bytes()
     }
 }
 
@@ -437,31 +388,33 @@ pub struct EngineStats {
     /// Fault outcomes decided from partitions/rolling stats without
     /// building windows.
     pub gated: u64,
-    /// Level C reuse: both detectors refuted online from rolling moments —
-    /// no window build, no detector run.
+    /// Always 0: the online refuters that counted here were deleted. Kept
+    /// until the benchmark stops reading it.
     pub advanced_online: u64,
-    /// Level C attempts that could not prove a refutation and fell through
-    /// to a full scan.
+    /// Always 0, like [`EngineStats::advanced_online`].
     pub online_fallbacks: u64,
-    /// Rounds answered without decoding or rebuilding windows — the sum of
-    /// every [`Prepared::Reuse`] return (Level A, fault gates, Level C): the
-    /// series' partitions and its [`RollingStats`] alone settled it.
+    /// Rounds answered without building windows — the sum of every
+    /// [`Prepared::Reuse`] return (Level A and the fault gates): the
+    /// series' partitions and its [`RollingStats`] finite counts alone
+    /// settled it.
     pub summary_hits: u64,
     /// Fresh window builds handed to the detectors.
     pub scanned: u64,
     /// Series the engine could not serve (caller fell back to the store
     /// path).
     pub fallbacks: u64,
-    /// Completed scans whose window buffer had to grow — zero once a fleet
-    /// reaches steady state.
+    /// Completed scans whose shard's window scratch had to grow — at most
+    /// one per shard on a fleet of like-sized windows, and zero once a
+    /// fleet reaches steady state.
     pub buffer_growth: u64,
     /// Samples currently retained across all series states. Shrinks when
     /// the stale sweep retires states or `trim` drops points behind the
     /// historic boundary.
     pub resident_points: u64,
-    /// Heap bytes those states hold — value rings (with their block sums),
-    /// timestamp runs and window buffers, each at its capacity — so the
-    /// engine's memory footprint reads off its own counters.
+    /// Heap bytes those states hold — value rings (with their block
+    /// counts) and timestamp runs, each at its capacity — so the engine's
+    /// memory footprint reads off its own counters. The per-shard window
+    /// scratch is transient working memory and is not counted.
     pub resident_bytes: u64,
 }
 
@@ -475,8 +428,6 @@ struct Counters {
     removed: AtomicU64,
     reused_full: AtomicU64,
     gated: AtomicU64,
-    advanced_online: AtomicU64,
-    online_fallbacks: AtomicU64,
     summary_hits: AtomicU64,
     scanned: AtomicU64,
     fallbacks: AtomicU64,
@@ -484,11 +435,14 @@ struct Counters {
 }
 
 /// One engine shard: the per-series states whose ids route to the same
-/// [`TsdbStore`] shard. Guarded by one lock so a whole shard's round can
-/// be pinned to one worker.
+/// [`TsdbStore`] shard, and the window scratch its scans share. Guarded by
+/// one lock so a whole shard's round can be pinned to one worker.
 #[derive(Default)]
 struct EngineShard {
     states: BTreeMap<SeriesId, SeriesState>,
+    /// Window value buffer: lent out by [`StreamingEngine::prepare`] and
+    /// returned by [`StreamingEngine::complete`].
+    scratch: Vec<f64>,
 }
 
 /// The streaming incremental scan engine. Owned by the pipeline; one
@@ -501,8 +455,6 @@ pub struct StreamingEngine {
     shards: Vec<OrderedMutex<EngineShard>>,
     now: Timestamp,
     round: u64,
-    /// Level C refuter parameters; `None` disables online advancement.
-    online: Option<OnlinePolicy>,
     counters: Counters,
 }
 
@@ -516,18 +468,8 @@ impl StreamingEngine {
                 .collect(),
             now: 0,
             round: 0,
-            online: None,
             counters: Counters::default(),
         }
-    }
-
-    /// Enables Level C online advancement with the given detector
-    /// parameters. The policy must mirror the detectors the caller actually
-    /// runs on [`Prepared::Scan`] windows — the refuters assume it.
-    #[must_use]
-    pub fn with_online_policy(mut self, policy: OnlinePolicy) -> Self {
-        self.online = Some(policy);
-        self
     }
 
     /// Number of engine shards (equal to [`TsdbStore::shard_count`]). A
@@ -622,18 +564,8 @@ impl StreamingEngine {
                     }
                 }
                 SeriesDelta::Reset { version, columns } => {
-                    // A known series keeps its map slot and window buffer.
-                    let mut slot = shard.states.get_mut(*id);
-                    let buffer = slot.as_mut().map(|s| std::mem::take(&mut s.buffer));
-                    let state = SeriesState::rebuild(
-                        id,
-                        version,
-                        columns,
-                        bound_start,
-                        buffer.unwrap_or_default(),
-                        round,
-                    );
-                    match slot {
+                    let state = SeriesState::rebuild(id, version, columns, bound_start, round);
+                    match shard.states.get_mut(*id) {
                         Some(s) => *s = state,
                         None => {
                             shard.states.insert((*id).clone(), state);
@@ -663,10 +595,14 @@ impl StreamingEngine {
     /// Decides how to scan one series this round. Thread-safe: takes the
     /// series' engine shard lock; the shard-per-core driver keeps each
     /// shard on one worker, so the lock is uncontended in steady state.
+    /// A [`Prepared::Scan`] carries the shard's window scratch: hand it
+    /// back through [`StreamingEngine::complete`] before the shard's next
+    /// scan, or that scan allocates a buffer of its own.
     // fbd-lint::hot
     pub fn prepare(&self, id: &SeriesId, min_finite_fraction: f64, min_coverage: f64) -> Prepared {
         let mut guard = self.shard(id).lock();
-        let Some(s) = guard.states.get_mut(id) else {
+        let shard = &mut *guard;
+        let Some(s) = shard.states.get_mut(id) else {
             self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
             return Prepared::Fallback;
         };
@@ -729,35 +665,10 @@ impl StreamingEngine {
             ));
             return Prepared::Reuse(outcome);
         }
-        // Level C: try to refute both detectors online from the rolling
-        // moments, wherever Level A did not replay — a series' first
-        // round as much as a round whose watermark jumped. A refuted series
-        // records its quiet outcome without building windows or running a
-        // single detector kernel.
-        if let Some(policy) = self.online {
-            if self.refute_online(&policy, s, &parts) {
-                let outcome = CachedScan::Ok {
-                    short: None,
-                    long: None,
-                    partial: s.coverage(&parts, &self.config, now).is_partial(min_coverage),
-                };
-                self.counters.advanced_online.fetch_add(1, Ordering::Relaxed);
-                self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
-                s.last = Some(RoundArtifacts::new(
-                    now,
-                    parts,
-                    min_finite_fraction,
-                    min_coverage,
-                    outcome.clone(),
-                ));
-                return Prepared::Reuse(outcome);
-            }
-            self.counters.online_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
         // Fresh detection: the gates above left a non-empty historic and
         // analysis region, so the windows always build.
-        let buffer_capacity = s.buffer.capacity();
-        let mut buffer = std::mem::take(&mut s.buffer);
+        let mut buffer = std::mem::take(&mut shard.scratch);
+        let buffer_capacity = buffer.capacity();
         s.fill_window(&parts, &mut buffer);
         let coverage = s.coverage(&parts, &self.config, now);
         self.counters.scanned.fetch_add(1, Ordering::Relaxed);
@@ -779,117 +690,8 @@ impl StreamingEngine {
         }
     }
 
-    /// Whether both detectors are provably quiet for the window
-    /// `[parts.h, parts.n)` of this series, judged entirely from its
-    /// [`RollingStats`]. `true` means a cold scan of the same window would
-    /// return `Ok { short: None, long: None, .. }` — the refuters only use
-    /// one-sided bounds at decision points the cold kernels reach before
-    /// any fallible call, so a refutation can never mask a candidate *or*
-    /// an error outcome.
-    fn refute_online(&self, policy: &OnlinePolicy, s: &SeriesState, parts: &Partitions) -> bool {
-        let h_len = (parts.a - parts.h) as usize;
-        let a_len = (parts.e - parts.a) as usize;
-        let e_len = (parts.n - parts.e) as usize;
-        let n_win = h_len + a_len + e_len;
-        // Both refuters reason from blockwise moments, which a non-finite
-        // sample poisons; the cold kernels also diverge (short-term treats
-        // non-finite as quiet, long-term runs its full path), so only
-        // all-finite windows are refutable.
-        if s.stats.finite_count(parts.h, parts.n) != n_win {
-            return false;
-        }
-        self.refute_short(policy, s, parts, h_len, a_len, n_win)
-            && self.refute_long(policy, s, parts, h_len, a_len, e_len, n_win)
-    }
-
-    /// Refutes the short-term change-point detector: mirrors its
-    /// infallible early returns (`n < 8`, empty analysis, empty clamped
-    /// split range) exactly, then upper-bounds the best in-region LRT
-    /// statistic — if even the bound cannot reject H0 at the configured
-    /// significance, the cold detector's own skip bound fires and it
-    /// returns `None` before EM ever runs.
-    fn refute_short(
-        &self,
-        policy: &OnlinePolicy,
-        s: &SeriesState,
-        parts: &Partitions,
-        h_len: usize,
-        a_len: usize,
-        n_win: usize,
-    ) -> bool {
-        if n_win < 8 || a_len == 0 {
-            return true;
-        }
-        // The cold path's clamped change-point range: candidates in
-        // [analysis_begin, analysis_end - 1], clamped to [1, n - 3].
-        let cp_lo = h_len.saturating_sub(1).max(1);
-        let cp_hi = (h_len + a_len - 1).min(n_win - 3);
-        if cp_lo > cp_hi {
-            return true;
-        }
-        // `max_lrt_upper_bound` takes the first index of the second
-        // segment (t = cp + 1), absolute.
-        let t_lo = parts.h + cp_lo as u64 + 1;
-        let t_hi = parts.h + cp_hi as u64 + 1;
-        let Some(bound) =
-            online::max_lrt_upper_bound(&s.stats, parts.h, parts.n, t_lo, t_hi, ONLINE_REL_GUARD)
-        else {
-            return false;
-        };
-        // p-values decrease in the statistic, so the bound's p-value is a
-        // lower bound on the true one: failing to reject here means the
-        // cold detector fails to reject too.
-        chi_squared_p_value(bound, 2.0) >= policy.significance
-    }
-
-    /// Refutes the long-term detector: mirrors its infallible early return
-    /// (`n < 16`) exactly, then replays the trend pre-filter over the
-    /// shared [`prefilter_geometry`] with a guard band covering the
-    /// blockwise-vs-prefix rounding divergence — if the guarded optimistic
-    /// (baseline, current) pair cannot meet the threshold, the cold
-    /// pre-filter's pair cannot either, and the long-term `detect`
-    /// returns `None` before any fallible call.
-    #[allow(clippy::too_many_arguments)]
-    fn refute_long(
-        &self,
-        policy: &OnlinePolicy,
-        s: &SeriesState,
-        parts: &Partitions,
-        h_len: usize,
-        a_len: usize,
-        e_len: usize,
-        n_win: usize,
-    ) -> bool {
-        if !policy.long_term_enabled {
-            return true;
-        }
-        if n_win < 16 {
-            return true;
-        }
-        let Some(geo) = prefilter_geometry(n_win, h_len, a_len, policy.max_period) else {
-            return false;
-        };
-        let [start_hist, start_anal, end_anal, end_series] = geo.regions.map(|(lo, hi)| {
-            online::sliding_mean_bounds(
-                &s.stats,
-                parts.h,
-                parts.n,
-                parts.h + lo as u64,
-                parts.h + hi as u64,
-                geo.dilation as u64,
-                geo.edge as u64,
-            )
-        });
-        let g = ONLINE_REL_GUARD * s.stats.max_abs_upper_bound(parts.h, parts.n);
-        let (baseline, current) = baseline_and_current(
-            [start_hist.0, start_anal.0, end_anal.1, end_series.1],
-            e_len,
-        );
-        policy.threshold.refuted_by(baseline - g, current + g)
-    }
-
-    /// Returns a [`Prepared::Scan`]'s window buffer to the series state and
-    /// records the round's outcome for future reuse. `outcome` is `None`
+    /// Returns a [`Prepared::Scan`]'s window buffer to the shard's scratch
+    /// and records the round's outcome for future reuse. `outcome` is `None`
     /// when the detectors errored, and is ignored when a filter did
     /// ([`ShortVerdict::WentAwayError`]): the buffer is still reclaimed, and the
     /// previous artifacts (whose gates remain sound — retained points are
@@ -903,12 +705,13 @@ impl StreamingEngine {
         windows: WindowedData,
     ) {
         let mut guard = self.shard(id).lock();
-        let Some(s) = guard.states.get_mut(id) else { return };
+        let shard = &mut *guard;
         let buffer = windows.into_values();
         if buffer.capacity() > token.buffer_capacity {
             self.counters.buffer_growth.fetch_add(1, Ordering::Relaxed);
         }
-        s.buffer = buffer;
+        shard.scratch = buffer;
+        let Some(s) = shard.states.get_mut(id) else { return };
         if let Some(outcome) = outcome.filter(|o| !o.filter_errored()) {
             s.last = Some(RoundArtifacts::new(
                 self.now,
@@ -942,8 +745,8 @@ impl StreamingEngine {
             removed: c.removed.load(Ordering::Relaxed),
             reused_full: c.reused_full.load(Ordering::Relaxed),
             gated: c.gated.load(Ordering::Relaxed),
-            advanced_online: c.advanced_online.load(Ordering::Relaxed),
-            online_fallbacks: c.online_fallbacks.load(Ordering::Relaxed),
+            advanced_online: 0,
+            online_fallbacks: 0,
             summary_hits: c.summary_hits.load(Ordering::Relaxed),
             scanned: c.scanned.load(Ordering::Relaxed),
             fallbacks: c.fallbacks.load(Ordering::Relaxed),
@@ -1258,15 +1061,6 @@ mod tests {
         ));
     }
 
-    fn policy() -> OnlinePolicy {
-        OnlinePolicy {
-            significance: 0.01,
-            threshold: Threshold::Absolute(0.1),
-            long_term_enabled: true,
-            max_period: 64,
-        }
-    }
-
     fn fill_flat(store: &TsdbStore, id: &SeriesId, upto: u64) {
         for t in 0..upto {
             // Tiny deterministic jitter so the series is quiet but not
@@ -1277,65 +1071,9 @@ mod tests {
     }
 
     #[test]
-    fn level_c_refutes_quiet_series_without_scanning() {
-        let store = TsdbStore::new();
-        let id = sid("quiet");
-        fill_flat(&store, &id, 200);
-        let mut engine = StreamingEngine::new(cfg()).with_online_policy(policy());
-        begin_round(&mut engine, &store, &[&id], 200);
-        match engine.prepare(&id, 0.5, 0.5) {
-            Prepared::Reuse(CachedScan::Ok {
-                short,
-                long,
-                partial,
-            }) => {
-                assert!(short.is_none() && long.is_none());
-                assert!(!partial, "full-cadence series must not be partial");
-            }
-            _ => panic!("quiet series must advance online"),
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.advanced_online, 1);
-        assert_eq!(stats.online_fallbacks, 0);
-        assert_eq!(stats.scanned, 0);
-        // The online outcome is itself Level-A reusable next round.
-        begin_round(&mut engine, &store, &[&id], 200);
-        assert!(matches!(
-            engine.prepare(&id, 0.5, 0.5),
-            Prepared::Reuse(CachedScan::Ok { .. })
-        ));
-        assert_eq!(engine.stats().reused_full, 1);
-    }
-
-    #[test]
-    fn level_c_falls_back_on_analysis_step() {
-        let store = TsdbStore::new();
-        let id = sid("step");
-        for t in 0..200u64 {
-            let v = if t < 160 { 1.0 } else { 2.0 };
-            store.append(&id, t, v).unwrap();
-        }
-        let mut engine = StreamingEngine::new(cfg()).with_online_policy(policy());
-        begin_round(&mut engine, &store, &[&id], 200);
-        // The step at t=160 sits inside the analysis window [125, 175):
-        // the LRT bound cannot refute it, so Level C must fall through to
-        // a full scan with windows identical to the store path.
-        match engine.prepare(&id, 0.5, 0.5) {
-            Prepared::Scan { windows, .. } => {
-                assert_eq!(windows, store.windows(&id, &cfg(), 200).unwrap());
-            }
-            _ => panic!("unrefutable series must scan"),
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.advanced_online, 0);
-        assert_eq!(stats.online_fallbacks, 1);
-        assert_eq!(stats.scanned, 1);
-    }
-
-    #[test]
     fn stale_sweep_retires_online_detector_state() {
-        // Series that leave the scan set must not keep their online state
-        // (values, rolling moments, timestamp runs) resident forever: the sweep
+        // Series that leave the scan set must not keep their state (values,
+        // block counts, timestamp runs) resident forever: the sweep
         // retires them and the engine's memory footprint shrinks.
         let store = TsdbStore::new();
         let kept = sid("kept");
@@ -1344,17 +1082,20 @@ mod tests {
         for id in &orphans {
             fill_flat(&store, id, 200);
         }
-        let mut engine = StreamingEngine::new(cfg()).with_online_policy(policy());
+        let mut engine = StreamingEngine::new(cfg());
         let mut ids: Vec<&SeriesId> = vec![&kept];
         ids.extend(orphans.iter());
         begin_round(&mut engine, &store, &ids, 200);
         for id in &ids {
-            // Quiet series: every one advances online, arming full state.
-            assert!(matches!(engine.prepare(id, 0.5, 0.5), Prepared::Reuse(_)));
+            let Prepared::Scan { windows, token } = engine.prepare(id, 0.5, 0.5) else {
+                panic!("first round must scan");
+            };
+            let quiet = CachedScan::Ok { short: None, long: None, partial: false };
+            engine.complete(id, token, Some(quiet), windows);
         }
         let before = engine.stats();
         assert_eq!(before.tracked, 9);
-        assert_eq!(before.advanced_online, 9);
+        assert_eq!(before.scanned, 9);
         assert!(before.resident_points >= 9 * 175);
         // Only `kept` stays in the scan set; two sweep periods retire the
         // rest.
@@ -1402,6 +1143,35 @@ mod tests {
         assert!(reset.resident_bytes < loaded.resident_bytes / 8, "{}", reset.resident_bytes);
     }
 
+    #[test]
+    fn window_scratch_is_one_buffer_per_shard() {
+        // A cold scan lends every fresh scan its shard's scratch: the
+        // buffer grows at most once per shard, and no window copy stays
+        // resident with a series state once its scan completes.
+        let store = TsdbStore::new();
+        let mut engine = StreamingEngine::new(cfg());
+        let shards = engine.shard_count();
+        let ids: Vec<SeriesId> = (0..10 * shards).map(|i| sid(&format!("w{i}"))).collect();
+        for id in &ids {
+            fill_flat(&store, id, 200);
+        }
+        let refs: Vec<&SeriesId> = ids.iter().collect();
+        begin_round(&mut engine, &store, &refs, 200);
+        let loaded = engine.stats();
+        for id in &ids {
+            let Prepared::Scan { windows, token } = engine.prepare(id, 0.5, 0.5) else {
+                panic!("first round must scan");
+            };
+            assert_eq!(windows, store.windows(id, &cfg(), 200).unwrap());
+            let quiet = CachedScan::Ok { short: None, long: None, partial: false };
+            engine.complete(id, token, Some(quiet), windows);
+        }
+        let scanned = engine.stats();
+        assert_eq!(scanned.scanned, ids.len() as u64);
+        assert!(scanned.buffer_growth <= shards as u64, "{} > {shards}", scanned.buffer_growth);
+        assert_eq!(scanned.resident_bytes, loaded.resident_bytes);
+    }
+
     mod columnar {
         use super::*;
         use fbd_tsdb::{window_coverage, windows_from_points, TimeSeries};
@@ -1439,7 +1209,7 @@ mod tests {
                 let version = SeriesVersion { version: 0, appended: 0 };
                 let mut series = TimeSeries::with_seal_limit(seal_limit);
                 let mut state =
-                    SeriesState::rebuild(&id, version, SeriesColumns::default(), 0, Vec::new(), 0);
+                    SeriesState::rebuild(&id, version, SeriesColumns::default(), 0, 0);
                 let mut oracle = Oracle { first: 0, live: Vec::new() };
                 let mut t = if top { u64::MAX - 4_000 } else { 0 };
                 for (round, &(op, k, seed)) in ops.iter().enumerate() {
@@ -1476,7 +1246,7 @@ mod tests {
                             let lo = series.first_timestamp().unwrap_or(0);
                             let start = lo + seed % (t - lo + 2);
                             let columns = series.columns_from(start);
-                            state = SeriesState::rebuild(&id, version, columns, start, Vec::new(), 0);
+                            state = SeriesState::rebuild(&id, version, columns, start, 0);
                             oracle = Oracle {
                                 first: 0,
                                 live: series

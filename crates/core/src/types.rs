@@ -211,7 +211,7 @@ mod tests {
         let r = regression(0.0, 0.5);
         assert!(r.relative_change().is_infinite());
         let r = regression(0.0, 0.0);
-        assert_eq!(r.relative_change(), 0.0);
+        assert_eq!(r.relative_change().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -219,7 +219,7 @@ mod tests {
         let r = regression(1.0, 2.0);
         // 20 values total, change at index 9 -> 10 post values.
         assert_eq!(r.post_change_values().len(), 10);
-        assert!(r.post_change_values().iter().all(|&v| v == 2.0));
+        assert!(r.post_change_values().iter().all(|v| v.to_bits() == 2.0_f64.to_bits()));
     }
 
     #[test]

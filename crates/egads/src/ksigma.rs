@@ -76,7 +76,7 @@ mod tests {
         let lax = KSigma::new(50.0).detect(&hist, &analysis);
         assert!(sensitive.anomalous);
         assert!(!lax.anomalous);
-        assert_eq!(sensitive.score, lax.score);
+        assert_eq!(sensitive.score.to_bits(), lax.score.to_bits());
     }
 
     #[test]

@@ -255,9 +255,9 @@ mod tests {
         let out = fault.apply(&mut rng, &input);
         for (i, &(t, v)) in out.iter().enumerate() {
             if (1_000..1_500).contains(&t) {
-                assert_eq!(v, stuck_value);
+                assert_eq!(v.to_bits(), stuck_value.to_bits());
             } else {
-                assert_eq!(v, input[i].1);
+                assert_eq!(v.to_bits(), input[i].1.to_bits());
             }
         }
     }

@@ -51,7 +51,7 @@ mod tests {
     #[test]
     fn flat_profile_is_one() {
         for t in [0, 1000, DAY, WEEK + 5] {
-            assert_eq!(SeasonalProfile::FLAT.factor(t), 1.0);
+            assert_eq!(SeasonalProfile::FLAT.factor(t).to_bits(), 1.0_f64.to_bits());
         }
     }
 

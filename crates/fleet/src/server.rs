@@ -190,6 +190,6 @@ mod tests {
     fn generation_lookup() {
         let f = Fleet::new(4, vec![gen(1.0), gen(2.0)], &[0.5, 0.5]).unwrap();
         let s = f.servers()[3];
-        assert_eq!(f.generation_of(&s).cpu_multiplier, 2.0);
+        assert_eq!(f.generation_of(&s).cpu_multiplier.to_bits(), 2.0_f64.to_bits());
     }
 }

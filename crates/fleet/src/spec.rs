@@ -199,10 +199,10 @@ mod tests {
             end: 40,
             delta: 1.0,
         });
-        assert_eq!(spec.mean_at(19), 0.0);
+        assert_eq!(spec.mean_at(19).to_bits(), 0.0_f64.to_bits());
         assert!((spec.mean_at(30) - 0.5).abs() < 1e-12);
-        assert_eq!(spec.mean_at(40), 1.0);
-        assert_eq!(spec.mean_at(99), 1.0);
+        assert_eq!(spec.mean_at(40).to_bits(), 1.0_f64.to_bits());
+        assert_eq!(spec.mean_at(99).to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]
@@ -212,9 +212,9 @@ mod tests {
             duration: 5,
             delta: -0.5,
         });
-        assert_eq!(spec.mean_at(9), 1.0);
-        assert_eq!(spec.mean_at(12), 0.5);
-        assert_eq!(spec.mean_at(15), 1.0);
+        assert_eq!(spec.mean_at(9).to_bits(), 1.0_f64.to_bits());
+        assert_eq!(spec.mean_at(12).to_bits(), 0.5_f64.to_bits());
+        assert_eq!(spec.mean_at(15).to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]

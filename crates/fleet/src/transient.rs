@@ -202,9 +202,9 @@ mod tests {
         assert!(i.cpu_factor(5) > 1.0);
         assert!(i.throughput_factor(5) < 1.0);
         assert!(i.error_rate_delta(5) > 0.0);
-        assert_eq!(i.cpu_factor(20), 1.0);
-        assert_eq!(i.throughput_factor(20), 1.0);
-        assert_eq!(i.error_rate_delta(20), 0.0);
+        assert_eq!(i.cpu_factor(20).to_bits(), 1.0_f64.to_bits());
+        assert_eq!(i.throughput_factor(20).to_bits(), 1.0_f64.to_bits());
+        assert_eq!(i.error_rate_delta(20).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -234,7 +234,7 @@ mod tests {
             severity: 1.0,
         });
         assert!((s.cpu_factor(7) - 1.5 * 1.3).abs() < 1e-12);
-        assert_eq!(s.cpu_factor(100), 1.0);
+        assert_eq!(s.cpu_factor(100).to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]

@@ -47,8 +47,8 @@ proptest! {
             duration,
             delta,
         });
-        prop_assert_eq!(spec.mean_at(at + duration), 1.0);
-        prop_assert_eq!(spec.mean_at(at.saturating_sub(1)), 1.0);
+        prop_assert_eq!(spec.mean_at(at + duration).to_bits(), 1.0_f64.to_bits());
+        prop_assert_eq!(spec.mean_at(at.saturating_sub(1)).to_bits(), 1.0_f64.to_bits());
         prop_assert!((spec.mean_at(at) - (1.0 + delta)).abs() < 1e-12);
     }
 
@@ -96,8 +96,8 @@ proptest! {
             prop_assert!((0.0..=2.0).contains(&th));
             prop_assert!(i.error_rate_delta(t) >= 0.0);
             if !i.active_at(t) {
-                prop_assert_eq!(c, 1.0);
-                prop_assert_eq!(th, 1.0);
+                prop_assert_eq!(c.to_bits(), 1.0_f64.to_bits());
+                prop_assert_eq!(th.to_bits(), 1.0_f64.to_bits());
             }
         }
     }

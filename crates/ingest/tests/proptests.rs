@@ -42,11 +42,13 @@ fn build(spec: &BatchSpec) -> Bytes {
     let (tenant, collected_at, points) = spec;
     let mut batch = SampleBatch::new(format!("t{}", tenant % 3), *collected_at);
     for (series, ts, class) in points {
-        batch
-            .push(&sid(series % 4), *ts, value_of(*class, *ts))
-            .unwrap();
+        let pushed = batch.push(&sid(series % 4), *ts, value_of(*class, *ts));
+        assert!(pushed.is_ok(), "a generated sample must fit its batch");
     }
-    encode_batch(&batch).unwrap()
+    let Ok(raw) = encode_batch(&batch) else {
+        panic!("a generated batch must encode");
+    };
+    raw
 }
 
 fn batch_strategy() -> impl Strategy<Value = BatchSpec> {
@@ -57,14 +59,20 @@ fn batch_strategy() -> impl Strategy<Value = BatchSpec> {
     )
 }
 
+/// Per series: id, version and append counters, and every point as
+/// `(timestamp, value bits)`.
+type Fingerprint = Vec<(SeriesId, u64, u64, Vec<(u64, u64)>)>;
+
 /// A stable fingerprint of the full store contents: series ids in order,
 /// their version/append counters, and every point down to the value bits.
-fn fingerprint(store: &TsdbStore) -> Vec<(SeriesId, u64, u64, Vec<(u64, u64)>)> {
+fn fingerprint(store: &TsdbStore) -> Fingerprint {
     let mut ids = store.series_ids();
     ids.sort();
     ids.into_iter()
         .map(|id| {
-            let s = store.get(&id).unwrap();
+            let Ok(s) = store.get(&id) else {
+                panic!("listed series {id:?} must be readable");
+            };
             let points = s
                 .points()
                 .iter()
@@ -94,7 +102,7 @@ proptest! {
         };
 
         let threaded_store = Arc::new(TsdbStore::new());
-        let pipeline = IngestPipeline::new(Arc::clone(&threaded_store), config.clone());
+        let pipeline = IngestPipeline::new(Arc::clone(&threaded_store), config);
         for raw in &batches {
             pipeline.submit(raw.clone()).unwrap();
         }
@@ -177,7 +185,7 @@ proptest! {
         };
         let batches: Vec<Bytes> = specs.iter().map(build).collect();
         let plain_store = Arc::new(TsdbStore::new());
-        let plain_pipe = IngestPipeline::new(Arc::clone(&plain_store), config.clone());
+        let plain_pipe = IngestPipeline::new(Arc::clone(&plain_store), config);
         let packed_store = Arc::new(TsdbStore::with_config(StoreConfig {
             seal_limit,
             shard_budget_bytes: None,

@@ -179,7 +179,7 @@ mod tests {
         let samples = vec![sample(&[0, 1, 1, 1])];
         let t = GcpuTable::from_samples(&samples).unwrap();
         assert_eq!(t.count(1), 1);
-        assert_eq!(t.gcpu(1), 1.0);
+        assert_eq!(t.gcpu(1).to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]
@@ -211,13 +211,13 @@ mod tests {
     #[test]
     fn overlap_of_disjoint_frames_is_zero() {
         let samples = vec![sample(&[0, 1]), sample(&[0, 2])];
-        assert_eq!(stack_trace_overlap(&samples, 1, 2).unwrap(), 0.0);
+        assert_eq!(stack_trace_overlap(&samples, 1, 2).unwrap().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
     fn overlap_unobserved_frames_zero() {
         let samples = vec![sample(&[0, 1])];
-        assert_eq!(stack_trace_overlap(&samples, 5, 6).unwrap(), 0.0);
+        assert_eq!(stack_trace_overlap(&samples, 5, 6).unwrap().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -231,7 +231,7 @@ mod tests {
                 .any(|(_, m)| m.starts_with("user_category:"))
         })
         .unwrap();
-        assert_eq!(g, 1.0);
+        assert_eq!(g.to_bits(), 1.0_f64.to_bits());
         let g_all = gcpu_filtered(&samples, 1, |_| true).unwrap();
         assert!((g_all - 2.0 / 3.0).abs() < 1e-12);
     }

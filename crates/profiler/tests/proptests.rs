@@ -41,7 +41,7 @@ proptest! {
         // Self-overlap is 1 when the frame appears at all.
         let self_overlap = stack_trace_overlap(&samples, a, a).unwrap();
         let appears = samples.iter().any(|s| s.contains(a));
-        prop_assert_eq!(self_overlap == 1.0, appears);
+        prop_assert_eq!(self_overlap.to_bits() == 1.0_f64.to_bits(), appears);
     }
 
     #[test]

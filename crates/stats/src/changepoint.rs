@@ -199,6 +199,6 @@ mod tests {
         let ps = PrefixStats::new(&[1.0, 2.0, 3.0]);
         // RSS of [1,2,3] around mean 2 is 2.
         assert!((ps.segment_cost(0, 3) - 2.0).abs() < 1e-12);
-        assert_eq!(ps.segment_cost(1, 1), 0.0);
+        assert_eq!(ps.segment_cost(1, 1).to_bits(), 0.0_f64.to_bits());
     }
 }

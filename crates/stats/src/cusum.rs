@@ -161,8 +161,8 @@ mod tests {
     fn constant_series_has_zero_magnitude() {
         let data = vec![2.0; 16];
         let r = detect_change_point(&data).unwrap();
-        assert_eq!(r.magnitude, 0.0);
-        assert_eq!(r.mean_shift, 0.0);
+        assert_eq!(r.magnitude.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(r.mean_shift.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn mean_and_variance_basic() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&data).unwrap(), 5.0);
+        assert_eq!(mean(&data).unwrap().to_bits(), 5.0_f64.to_bits());
         // Sample variance of this classic example is 32/7.
         assert!((variance(&data).unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert!((population_variance(&data).unwrap() - 4.0).abs() < 1e-12);
@@ -259,19 +259,19 @@ mod tests {
 
     #[test]
     fn median_even_and_odd() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
-        assert_eq!(median(&[7.0]).unwrap(), 7.0);
+        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap().to_bits(), 2.0_f64.to_bits());
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap().to_bits(), 2.5_f64.to_bits());
+        assert_eq!(median(&[7.0]).unwrap().to_bits(), 7.0_f64.to_bits());
     }
 
     #[test]
     fn percentile_interpolates() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&data, 0.0).unwrap(), 1.0);
-        assert_eq!(percentile(&data, 100.0).unwrap(), 5.0);
-        assert_eq!(percentile(&data, 50.0).unwrap(), 3.0);
-        assert_eq!(percentile(&data, 25.0).unwrap(), 2.0);
-        assert_eq!(percentile(&data, 90.0).unwrap(), 4.6);
+        assert_eq!(percentile(&data, 0.0).unwrap().to_bits(), 1.0_f64.to_bits());
+        assert_eq!(percentile(&data, 100.0).unwrap().to_bits(), 5.0_f64.to_bits());
+        assert_eq!(percentile(&data, 50.0).unwrap().to_bits(), 3.0_f64.to_bits());
+        assert_eq!(percentile(&data, 25.0).unwrap().to_bits(), 2.0_f64.to_bits());
+        assert_eq!(percentile(&data, 90.0).unwrap().to_bits(), 4.6_f64.to_bits());
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
     fn mad_matches_hand_computation() {
         // Median = 2, deviations = [1, 0, 1, 3], MAD = 1.
         let data = [1.0, 2.0, 3.0, 5.0];
-        assert_eq!(mad(&data).unwrap(), 1.0);
+        assert_eq!(mad(&data).unwrap().to_bits(), 1.0_f64.to_bits());
         assert!((robust_std(&data).unwrap() - 1.4826).abs() < 1e-12);
     }
 

@@ -35,7 +35,6 @@ pub mod error;
 pub mod fourier;
 pub mod hypothesis;
 mod memo;
-pub mod online;
 pub mod prefix;
 pub mod regression;
 pub mod sax;

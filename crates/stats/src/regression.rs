@@ -267,8 +267,8 @@ mod tests {
     fn flat_series_zero_slope() {
         let data = vec![5.0; 10];
         let fit = linear_fit(&data).unwrap();
-        assert_eq!(fit.slope, 0.0);
-        assert_eq!(fit.intercept, 5.0);
+        assert_eq!(fit.slope.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(fit.intercept.to_bits(), 5.0_f64.to_bits());
     }
 
     #[test]

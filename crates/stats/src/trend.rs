@@ -358,8 +358,8 @@ mod tests {
     fn theil_sen_flat_series() {
         let data = vec![7.0; 10];
         let fit = theil_sen(&data).unwrap();
-        assert_eq!(fit.slope, 0.0);
-        assert_eq!(fit.intercept, 7.0);
+        assert_eq!(fit.slope.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(fit.intercept.to_bits(), 7.0_f64.to_bits());
     }
 
     #[test]

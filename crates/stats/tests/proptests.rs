@@ -3,7 +3,7 @@
 use fbd_stats::prefix::PrefixStats;
 use fbd_stats::streaming::RollingStats;
 use fbd_stats::{
-    acf, changepoint, cusum, descriptive, distributions, em, fourier, hypothesis, online,
+    acf, changepoint, cusum, descriptive, distributions, em, fourier,
     regression, sax, smoothing, stl, text, trend, Finite,
 };
 use proptest::prelude::*;
@@ -451,133 +451,22 @@ proptest! {
     }
 
     #[test]
-    fn lrt_bound_dominates_exact_over_arbitrary_histories(
-        values in prop::collection::vec(-1e3f64..1e3, 40..220),
-        step in (0usize..1000, -50.0f64..50.0),
-        nan_sel in 0usize..2000,
-        evict in 0usize..30,
-    ) {
-        // The online short-term refuter may only ever overestimate the cold
-        // LRT statistic: over arbitrary histories — appends, front
-        // evictions, NaN injection, a step anywhere — a bound below the
-        // exact maximum would let Level C suppress a detection the cold
-        // path makes.
-        let mut values = values;
-        let (at, delta) = step;
-        let at = at % values.len();
-        for v in values[at..].iter_mut() {
-            *v += delta;
-        }
-        // Half the cases inject a single NaN somewhere in the history.
-        if nan_sel < 1000 {
-            let i = nan_sel % values.len();
-            values[i] = f64::NAN;
-        }
-        let mut stats = RollingStats::new(0);
-        for &v in &values {
-            stats.append(v);
-        }
-        let evict = evict.min(values.len() - 12);
-        stats.evict_front(evict);
-        let a = evict as u64;
-        let b = values.len() as u64;
-        let window = &values[evict..];
-        let n = window.len() as u64;
-        // Split range spanning the window's middle third, as an analysis
-        // region would.
-        let t_lo = a + n / 3 + 1;
-        let t_hi = a + 2 * n / 3;
-        if let Some(bound) = online::max_lrt_upper_bound(&stats, a, b, t_lo, t_hi, 1e-9) {
-            // A bound implies the range was fully finite and retained.
-            prop_assert!(window.iter().all(|v| v.is_finite()));
-            let ps = PrefixStats::new(window);
-            let exact = hypothesis::max_lrt_statistic_in_range(
-                &ps,
-                (t_lo - a - 1) as usize,
-                (t_hi - a - 1) as usize,
-            )
-            .unwrap_or(0.0);
-            prop_assert!(bound >= exact, "bound {bound} < exact {exact}");
-        } else {
-            // Refusal must be justified: a NaN in the window (or none
-            // injected at all means the geometry was degenerate, which this
-            // generator never produces).
-            prop_assert!(window.iter().any(|v| !v.is_finite()));
-        }
-    }
-
-    #[test]
-    fn sliding_bounds_contain_every_cold_window_mean(
-        values in prop::collection::vec(-1e3f64..1e3, 30..200),
-        evict in 0usize..20,
-        geom in (0usize..1000, 1usize..60, 0usize..20, 1usize..40),
-    ) {
-        // The online pre-filter replica must bracket every width-`edge`
-        // sliding mean the cold pre-filter enumerates; a mean escaping the
-        // bracket could flip the long-term refuter's verdict.
-        let mut stats = RollingStats::new(0);
-        for &v in &values {
-            stats.append(v);
-        }
-        let evict = evict.min(values.len() - 10);
-        stats.evict_front(evict);
-        let a = evict as u64;
-        let b = values.len() as u64;
-        let window = &values[evict..];
-        let n = window.len();
-        let (lo_seed, span, d, edge) = geom;
-        let lo = lo_seed % n;
-        let hi = (lo + 1 + span).min(n);
-        let (omin, omax) = online::sliding_mean_bounds(
-            &stats,
-            a,
-            b,
-            a + lo as u64,
-            a + hi as u64,
-            d as u64,
-            edge as u64,
-        );
-        prop_assert!(omin.is_finite() && omax.is_finite());
-        prop_assert!(omin <= omax);
-        if edge <= n {
-            let ps = PrefixStats::new(window);
-            // Cold enumeration, mirrored from the long-term pre-filter.
-            let lo_d = lo.saturating_sub(d);
-            let hi_d = (hi + d).min(n);
-            let first = lo_d.saturating_sub(edge - 1);
-            let last = hi_d.min(n - edge + 1);
-            let scale = values.iter().map(|v| v.abs()).fold(1.0, f64::max);
-            let tol = 1e-9 * scale;
-            for s in first..last {
-                let m = ps.segment_mean(s, s + edge);
-                prop_assert!(
-                    m >= omin - tol && m <= omax + tol,
-                    "window [{s}, {}) mean {m} escapes [{omin}, {omax}]",
-                    s + edge
-                );
-            }
-        }
-    }
-
-    #[test]
     fn rolling_stats_bit_identical_to_cold_rebuild(
         ops in prop::collection::vec((0u8..12, -1e6f64..1e6, 1usize..40), 1..200),
         query in (0u64..400, 1u64..400),
     ) {
         // Incremental append/extend/evict maintenance must be
         // indistinguishable — to the bit — from rebuilding over the
-        // retained samples with the same pivot, whether the rebuild appends
-        // them one by one or extends by all of them at once. The streaming
-        // scan engine's round-over-round determinism rests on exactly this
-        // property.
-        use fbd_stats::streaming::RollingStats;
+        // retained samples, whether the rebuild appends them one by one or
+        // extends by all of them at once. The streaming scan engine's
+        // round-over-round determinism rests on exactly this property.
         let mut inc = RollingStats::new(0);
         let mut shadow: Vec<f64> = Vec::new();
         let mut evicted = 0usize;
         for &(sel, value, k) in &ops {
             match sel {
                 // Mostly appends, with occasional non-finite samples mixed
-                // in: they occupy indices but stay out of the sums.
+                // in: they occupy indices but are not counted.
                 0..=6 => {
                     inc.append(value);
                     shadow.push(value);
@@ -607,8 +496,9 @@ proptest! {
             }
         }
         let retained = &shadow[evicted..];
-        let cold = RollingStats::rebuild(retained, evicted as u64, inc.pivot());
-        let mut appended = RollingStats::rebuild(&[], evicted as u64, inc.pivot());
+        let mut cold = RollingStats::new(evicted as u64);
+        cold.extend(retained.iter().copied());
+        let mut appended = RollingStats::new(evicted as u64);
         for &v in retained {
             appended.append(v);
         }
@@ -625,24 +515,17 @@ proptest! {
         ];
         for (a, b) in ranges {
             let bits = |s: &RollingStats| {
-                let m = s.segment_moments(a, b);
-                (m.finite, m.sum.to_bits(), m.sum_sq.to_bits(), m.max_dev.to_bits())
+                let (front, back) = s.slices(a, b);
+                let window: Vec<u64> = front.iter().chain(back).map(|v| v.to_bits()).collect();
+                (s.finite_count(a, b), window)
             };
+            prop_assert_eq!(bits(&inc), bits(&cold), "incremental vs rebuild on [{}, {})", a, b);
             prop_assert_eq!(bits(&appended), bits(&cold), "append vs extend on [{}, {})", a, b);
-            prop_assert_eq!(inc.finite_count(a, b), cold.finite_count(a, b));
-            prop_assert_eq!(
-                inc.centered_sum(a, b).to_bits(),
-                cold.centered_sum(a, b).to_bits(),
-                "centered_sum diverged on [{}, {})", a, b
-            );
-            prop_assert_eq!(
-                inc.centered_sum_sq(a, b).to_bits(),
-                cold.centered_sum_sq(a, b).to_bits(),
-                "centered_sum_sq diverged on [{}, {})", a, b
-            );
-            let im = inc.mean(a, b).map(f64::to_bits);
-            let cm = cold.mean(a, b).map(f64::to_bits);
-            prop_assert_eq!(im, cm, "mean diverged on [{}, {})", a, b);
+            // The count is the plain count over the retained samples.
+            let (lo, hi) = (a.clamp(evicted as u64, end), b.clamp(evicted as u64, end));
+            let lo = lo.min(hi);
+            let direct = shadow[lo as usize..hi as usize].iter().filter(|v| v.is_finite()).count();
+            prop_assert_eq!(inc.finite_count(a, b), direct, "count on [{}, {})", a, b);
         }
     }
 
@@ -658,7 +541,7 @@ proptest! {
         // must be indistinguishable — to the bit, and in the capacity it
         // retains — from extending or appending the same samples, at once
         // and after later evictions and appends wrap the ring.
-        use fbd_stats::streaming::{retained_capacity, RollingStats};
+        use fbd_stats::streaming::retained_capacity;
         let values: Vec<f64> = raw
             .iter()
             .map(|&(sel, v)| match sel {
@@ -686,27 +569,28 @@ proptest! {
             // One-by-one growth reaches the same power of two.
             prop_assert_eq!(adopted.resident_bytes(), appended.resident_bytes());
         }
+        // The samples at absolute indices `shadow_first..`.
+        let mut shadow = values.clone();
+        let mut shadow_first = start;
         for round in 0..2 {
             let end = adopted.end_index();
             let first = adopted.first_index();
-            prop_assert_eq!(adopted.pivot().map(f64::to_bits), extended.pivot().map(f64::to_bits));
-            prop_assert_eq!(adopted.pivot().map(f64::to_bits), appended.pivot().map(f64::to_bits));
             prop_assert_eq!((first, end), (extended.first_index(), extended.end_index()));
             prop_assert_eq!((first, end), (appended.first_index(), appended.end_index()));
+            prop_assert_eq!(first, shadow_first);
             for (a, b) in [(first, end), (first + 1, end.saturating_sub(1)), (start + 63, start + 130), (0, u64::MAX)] {
                 let bits = |s: &RollingStats| {
-                    let m = s.segment_moments(a, b);
                     let (front, back) = s.slices(a, b);
                     let window: Vec<u64> = front.iter().chain(back).map(|v| v.to_bits()).collect();
-                    (m.finite, m.sum.to_bits(), m.sum_sq.to_bits(), m.max_dev.to_bits(), window)
+                    (s.finite_count(a, b), window)
                 };
                 prop_assert_eq!(bits(&adopted), bits(&extended), "round {} [{}, {})", round, a, b);
                 prop_assert_eq!(bits(&adopted), bits(&appended), "round {} [{}, {})", round, a, b);
-                // The two-slice view is the indexed view.
+                // The two-slice view is the retained samples in order.
                 let want: Vec<u64> = (a.max(first)..b.min(end))
-                    .map(|i| adopted.get(i).unwrap().to_bits())
+                    .map(|i| shadow[(i - shadow_first) as usize].to_bits())
                     .collect();
-                prop_assert_eq!(bits(&adopted).4, want);
+                prop_assert_eq!(bits(&adopted).1, want);
             }
             for s in [&mut adopted, &mut extended, &mut appended] {
                 s.evict_front(evict);
@@ -714,6 +598,10 @@ proptest! {
                     s.append(v);
                 }
             }
+            let k = evict.min(shadow.len());
+            shadow.drain(..k);
+            shadow_first += k as u64;
+            shadow.extend_from_slice(&tail);
         }
     }
 }

@@ -28,7 +28,7 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     (any::<u8>(), any::<u64>()).prop_map(|(kind, val)| match kind % 8 {
-        0 | 1 | 2 => Op::Push(val),
+        0..=2 => Op::Push(val),
         3 | 4 => Op::Pop,
         5 | 6 => Op::Sum,
         _ => Op::PanicMidWrite(val),

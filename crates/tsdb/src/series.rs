@@ -97,14 +97,19 @@ impl TimeSeries {
     /// `start`.
     pub fn from_values(start: Timestamp, interval: Timestamp, values: &[f64]) -> Self {
         let mut s = TimeSeries::new();
-        s.head = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| DataPoint::new(start + i as Timestamp * interval, v))
-            .collect();
+        let limit = s.seal_limit as usize;
+        // One seal run at a time: the input is never materialised whole.
+        let mut run = Vec::with_capacity(limit.min(values.len()));
+        for (c, chunk) in values.chunks(limit).enumerate() {
+            let first = (c * limit) as Timestamp;
+            run.clear();
+            run.extend(chunk.iter().enumerate().map(|(i, &v)| {
+                DataPoint::new(start + (first + i as Timestamp) * interval, v)
+            }));
+            s.push_points(&run);
+        }
         s.version = values.len() as u64;
         s.appended = s.version;
-        s.seal_ready();
         s
     }
 
@@ -118,27 +123,52 @@ impl TimeSeries {
                 });
             }
         }
-        self.head.push(DataPoint::new(timestamp, value));
+        self.push_points(&[DataPoint::new(timestamp, value)]);
         self.version = self.version.wrapping_add(1);
         self.appended = self.appended.wrapping_add(1);
-        self.seal_ready();
         Ok(())
     }
 
-    /// Compresses every full `seal_limit`-sized run of head points into a
-    /// sealed block. Representation-only: counters are untouched.
-    fn seal_ready(&mut self) {
+    /// Stores `points`, which continue the series: they top up the head,
+    /// every full `seal_limit` run is sealed straight from the input, and
+    /// only the remainder is copied into the head — whose capacity never
+    /// exceeds the limit. Representation-only: counters are untouched.
+    fn push_points(&mut self, mut points: &[DataPoint]) {
         let limit = self.seal_limit as usize;
-        let full = self.head.len() / limit * limit;
-        for run in self.head[..full].chunks_exact(limit) {
-            let block = SealedBlock::from_points(run);
-            self.sealed_points += block.count() as usize;
-            self.sealed_bytes += block.byte_len();
-            self.sealed.push(block);
+        if !self.head.is_empty() {
+            let take = (limit - self.head.len()).min(points.len());
+            self.extend_head(&points[..take]);
+            points = &points[take..];
+            if self.head.len() < limit {
+                return;
+            }
+            let block = SealedBlock::from_points(&self.head);
+            self.head.clear();
+            self.push_sealed(block);
         }
-        // On the append path the head is exactly `limit` long, so this
-        // clears it while keeping its capacity for the next fill.
-        self.head.drain(..full);
+        let full = points.len() / limit * limit;
+        for run in points[..full].chunks_exact(limit) {
+            self.push_sealed(SealedBlock::from_points(run));
+        }
+        self.extend_head(&points[full..]);
+    }
+
+    /// Copies `points` into the head, growing it geometrically but never
+    /// past the seal limit.
+    fn extend_head(&mut self, points: &[DataPoint]) {
+        let len = self.head.len() + points.len();
+        if len > self.head.capacity() {
+            let grown = (2 * self.head.capacity()).clamp(len, self.seal_limit as usize);
+            self.head.reserve_exact(grown - self.head.len());
+        }
+        self.head.extend_from_slice(points);
+    }
+
+    /// Appends a freshly sealed block to the sealed run.
+    fn push_sealed(&mut self, block: SealedBlock) {
+        self.sealed_points += block.count() as usize;
+        self.sealed_bytes += block.byte_len();
+        self.sealed.push(block);
     }
 
     /// Changes the seal limit (a limit of 0 counts as 1), re-packing the
@@ -149,19 +179,17 @@ impl TimeSeries {
         if seal_limit == self.seal_limit {
             return;
         }
-        if !self.sealed.is_empty() {
-            let mut points = Vec::with_capacity(self.len());
-            for block in &self.sealed {
-                block.decode_into(&mut points);
-            }
-            points.extend_from_slice(&self.head);
-            self.sealed.clear();
-            self.sealed_points = 0;
-            self.sealed_bytes = 0;
-            self.head = points;
+        let mut points = Vec::with_capacity(self.len());
+        for block in &self.sealed {
+            block.decode_into(&mut points);
         }
+        points.extend_from_slice(&self.head);
+        self.sealed.clear();
+        self.sealed_points = 0;
+        self.sealed_bytes = 0;
+        self.head = Vec::new();
         self.seal_limit = seal_limit;
-        self.seal_ready();
+        self.push_points(&points);
     }
 
     /// The configured seal limit.
@@ -572,7 +600,7 @@ mod tests {
         assert_eq!(s.len(), 10);
         let r = s.range(20, 50).unwrap();
         assert_eq!(r.len(), 3);
-        assert_eq!(r[0].value, 2.0);
+        assert_eq!(r[0].value.to_bits(), 2.0_f64.to_bits());
         assert_eq!(s.values_in(0, 1000).unwrap().len(), 10);
     }
 
@@ -616,8 +644,8 @@ mod tests {
         let s = TimeSeries::from_values(0, 1, &[1.0, 3.0, 5.0, 7.0]);
         let d = s.downsample(2).unwrap();
         assert_eq!(d.len(), 2);
-        assert_eq!(d.points()[0].value, 2.0);
-        assert_eq!(d.points()[1].value, 6.0);
+        assert_eq!(d.points()[0].value.to_bits(), 2.0_f64.to_bits());
+        assert_eq!(d.points()[1].value.to_bits(), 6.0_f64.to_bits());
     }
 
     #[test]
@@ -782,6 +810,29 @@ mod tests {
         assert_eq!((s.sealed_block_count(), s.head_len()), (1, 2));
         assert_eq!((s.version(), s.appended()), before);
         assert_eq!(s.values(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn head_never_holds_more_than_the_seal_limit() {
+        // A series built in one piece seals its full runs straight from
+        // the input: the head keeps the remainder only, not a buffer as
+        // long as the whole input.
+        let values: Vec<f64> = (0..900).map(|i| i as f64).collect();
+        let mut s = TimeSeries::from_values(0, 1, &values);
+        let limit = s.seal_limit() as usize;
+        assert_eq!(s.head_len(), 900 % limit);
+        assert!(s.head.capacity() <= limit, "{}", s.head.capacity());
+        for limit in [7, 300, 2_000, 16] {
+            s.set_seal_limit(limit);
+            assert!(s.head.capacity() <= limit as usize, "limit {limit}: {}", s.head.capacity());
+            assert_eq!(s.values(), values);
+        }
+        // Appends grow the head geometrically, but never past the limit.
+        for i in 900..1_000u64 {
+            s.append(i, i as f64).unwrap();
+            assert!(s.head.capacity() <= 16, "{}", s.head.capacity());
+        }
+        assert_eq!(s.len(), 1_000);
     }
 
     #[test]

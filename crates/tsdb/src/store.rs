@@ -852,7 +852,7 @@ mod tests {
             SeriesDelta::Appended { tail, .. } => {
                 assert_eq!(tail.len(), 2);
                 assert_eq!(tail[0].timestamp, 100);
-                assert_eq!(tail[1].value, 9.5);
+                assert_eq!(tail[1].value.to_bits(), 9.5_f64.to_bits());
             }
             other => panic!("expected Appended, got {other:?}"),
         }

@@ -550,8 +550,8 @@ mod tests {
         assert_eq!(w.extended_len(), 25);
         // Historic ends where analysis begins; analysis ends where extended
         // begins.
-        assert_eq!(*w.historic().last().unwrap() + 1.0, w.analysis()[0]);
-        assert_eq!(*w.analysis().last().unwrap() + 1.0, w.extended()[0]);
+        assert_eq!((w.historic().last().unwrap() + 1.0).to_bits(), w.analysis()[0].to_bits());
+        assert_eq!((w.analysis().last().unwrap() + 1.0).to_bits(), w.extended()[0].to_bits());
         assert_eq!(w.analysis_start, 125);
         assert_eq!(w.analysis_end, 175);
     }
@@ -649,7 +649,7 @@ mod tests {
         let w = extract_windows(&s, &cfg, 200).unwrap();
         assert_eq!(w.coverage, WindowCoverage::default());
         assert!(!w.coverage.is_partial(0.9));
-        assert_eq!(w.coverage.min_fraction(), 1.0);
+        assert_eq!(w.coverage.min_fraction().to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]
@@ -699,10 +699,10 @@ mod tests {
         // No data has arrived for the extended window yet.
         let s = series_covering(150, 1);
         let w = extract_windows(&s, &cfg, 200).unwrap();
-        assert_eq!(w.coverage.extended, 0.0);
+        assert_eq!(w.coverage.extended.to_bits(), 0.0_f64.to_bits());
         // is_partial ignores the extended window (routinely mid-fill).
         assert!(!w.coverage.is_partial(0.9));
-        assert_eq!(w.coverage.min_fraction(), 0.0);
+        assert_eq!(w.coverage.min_fraction().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -716,8 +716,8 @@ mod tests {
         let pairs = (0..150).flat_map(|t| [(t, 1.0), (t, 1.0)]);
         let s = TimeSeries::from_pairs(pairs).unwrap();
         let w = extract_windows(&s, &cfg, 150).unwrap();
-        assert_eq!(w.coverage.historic, 1.0);
-        assert_eq!(w.coverage.analysis, 1.0);
+        assert_eq!(w.coverage.historic.to_bits(), 1.0_f64.to_bits());
+        assert_eq!(w.coverage.analysis.to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]
@@ -795,8 +795,8 @@ mod tests {
 
     #[test]
     fn coverage_from_counts_matches_rescan_on_sparse_data() {
-        // The streaming engine's online-advance path feeds precomputed
-        // region counts and an incrementally maintained min-gap into
+        // The streaming engine feeds region counts from its partitions and
+        // a min-gap from its timestamp runs into
         // `window_coverage_from_counts`; over sparse, bursty, and
         // duplicate-timestamp data the verdict must be bit-identical to the
         // timestamp-rescanning `window_coverage`.

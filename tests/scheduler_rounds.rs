@@ -2,8 +2,8 @@
 //! points, quantizes the scan watermark to the re-run interval and scans.
 //! The streaming engine may only skip work — every round's reports, funnel
 //! and health must match an engine-off run byte for byte — and the reuse
-//! counters must show that each shortcut (outcome replay, online
-//! refutation, block summaries) actually carried rounds, alone and with an
+//! counters must show that each shortcut (outcome replay, fault gates,
+//! block summaries) actually carried rounds, alone and with an
 //! `IngestPipeline` appending to the same store from other threads. The speed of these
 //! rounds is perfbench's `steady_rounds` and `ingest_under_scan`; this
 //! file pins only behaviour.
@@ -200,8 +200,8 @@ fn streaming_rounds_match_cold_rounds_and_every_reuse_level_fires() {
     );
 
     let engine = on.engine.expect("streaming run keeps engine counters");
-    // Once warm, held rounds recycle their window buffers; boundary rounds
-    // may still grow the pool, but never past one buffer set per series.
+    // Once warm, held rounds recycle the shards' window scratch; boundary
+    // rounds may still grow it, but never past one growth per series.
     assert_eq!(
         on.held_growth, 0,
         "window buffers grew on held rounds after warm-up"
@@ -211,10 +211,11 @@ fn streaming_rounds_match_cold_rounds_and_every_reuse_level_fires() {
         engine.reused_full > 0,
         "no held round replayed a cached outcome: {engine:?}"
     );
-    // In steady append traffic online refutation carries boundary rounds;
-    // only genuinely active series fall back to the full kernels.
-    assert!(
-        engine.advanced_online > engine.online_fallbacks,
+    // Boundary rounds run the detectors, whose own pre-filters refute the
+    // quiet series: the deleted online refuters' counters stay at zero.
+    assert_eq!(
+        (engine.advanced_online, engine.online_fallbacks),
+        (0, 0),
         "{engine:?}"
     );
     assert!(engine.summary_hits > 0, "{engine:?}");
